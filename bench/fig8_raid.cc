@@ -182,9 +182,8 @@ main()
     }
 
     // RAID-1 mirror scaling: the scheduling-rich positioning-dispatch
-    // config the dynamic horizon exists for (replica pricing reads
-    // live drive state every dispatch, so the static engine rejects
-    // it). One bursty heavy trace on an eight-disk RAID-10, serial
+    // config (replica pricing reads live drive state every dispatch,
+    // so its dispatch ticks run as serial steps). One bursty heavy trace on an eight-disk RAID-10, serial
     // then 1/2/4/8 workers; the 4-worker speedup is the CI-gated
     // figure of merit.
     {

@@ -65,10 +65,10 @@ enum class Phase
     Rebuilding,
 };
 
-/** One lifecycle phase, serially or (pdes_workers > 0) under the
- *  dynamic-horizon engine: the pre-run failDisk/startRebuild calls
- *  are serially synchronized in both modes (every calendar still at
- *  tick 0), and the rebuild stream serializes its pump ticks. */
+/** One lifecycle phase, serially or (pdes_workers > 0) under PDES:
+ *  the pre-run failDisk/startRebuild calls are serially synchronized
+ *  in both runs (every calendar still at tick 0), and the rebuild
+ *  stream serializes its pump ticks. */
 PhaseResult
 runPhase(const ConfigDef &config, Phase phase,
          const workload::Trace &trace, int pdes_workers = 0)
@@ -299,9 +299,9 @@ main()
     report.add("rebuild_steady_allocs",
                static_cast<double>(steady_allocs), "allocs");
 
-    // Dynamic-horizon engine: the degraded and rebuilding phases of
-    // the SA(4) mirror re-run under the conservative engine — the
-    // membership-change cases static lookahead rejected outright.
+    // PDES: the degraded and rebuilding phases of the SA(4) mirror
+    // re-run under the conservative engine, membership changes
+    // included.
     // Byte-level phase statistics must match the serial reference at
     // every worker count, and the same 25%-75% chunk window of the
     // pure rebuild must stay allocation-free (the per-round horizon

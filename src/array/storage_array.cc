@@ -100,7 +100,7 @@ StorageArray::StorageArray(sim::Simulator &simul,
         const double phase =
             static_cast<double>(i) * 0.61803398874989485;
         disks_.back()->setSpindlePhase(phase - std::floor(phase));
-        if (bridge_ != nullptr && bridge_->wantsCompletionBounds())
+        if (bridge_ != nullptr)
             disks_.back()->trackCompletionBounds(true);
     }
     ctrLogical_ = telemetry::counterHandle("array.logical_requests");
@@ -146,16 +146,10 @@ StorageArray::StorageArray(sim::Simulator &simul,
     const power::GovernorParams gov =
         power::applyGovernorEnv(params_.governor);
     if (gov.enabled) {
-        // The governor mutates spindle speed at runtime. An engine
-        // that supports horizon barriers runs every governor control
-        // tick as a serial synchronization point (all calendars
-        // advanced to the tick), so snapshots and actuations see
-        // exactly the serial-run state; anything less must reject
-        // governed runs up front.
-        sim::simAssert(bridge_ == nullptr ||
-                           bridge_->supportsBarriers(),
-                       "array: energy governor requires a serial run "
-                       "or a barrier-capable engine");
+        // The governor mutates spindle speed at runtime. Under PDES
+        // every governor control tick runs as a serial step (all
+        // calendars advanced to the tick), so snapshots and
+        // actuations see exactly the serial-run state.
         std::vector<disk::DiskDrive *> members;
         members.reserve(disks_.size());
         for (auto &d : disks_)
@@ -220,9 +214,6 @@ StorageArray::startRebuild(std::uint32_t idx,
                    "array: rebuild target is not failed");
     sim::simAssert(rebuild_ == nullptr || rebuild_->done(),
                    "array: a rebuild is already running");
-    sim::simAssert(bridge_ == nullptr || bridge_->supportsBarriers(),
-                   "array: rebuild requires the serial event loop "
-                   "or a barrier-capable engine");
     sim::simAssert(bridge_ == nullptr || bridge_->atSerialStep(),
                    "array: startRebuild inside a conservative window "
                    "(schedule it through scheduleStartRebuild)");

@@ -98,7 +98,8 @@ struct ArrayParams
     /**
      * Online energy governor (power::Governor): per-drive RPM and
      * actuator-parking control under a latency SLO. Disabled by
-     * default; serial runs only (the PDES bridge rejects it).
+     * default. Under PDES every control tick runs as a serial step,
+     * so governed runs stay byte-identical to the serial loop.
      */
     power::GovernorParams governor;
 };
@@ -212,18 +213,17 @@ class StorageArray
      * RAID-5 reads every surviving row member and XORs onto the
      * spare. The engine runs as background traffic under
      * @p params' rate limit and foreground-yield knobs; when the last
-     * chunk lands the member rejoins the array. Needs either a serial
-     * run or a bridge with barrier support (dynamic-horizon PDES);
-     * under PDES call it through scheduleStartRebuild so the start
-     * tick is barrier-synchronized. Requires diskFailed(idx) and no
-     * rebuild already running.
+     * chunk lands the member rejoins the array. Under PDES call it
+     * through scheduleStartRebuild so the start tick is
+     * barrier-synchronized. Requires diskFailed(idx) and no rebuild
+     * already running.
      */
     void startRebuild(std::uint32_t idx, const RebuildParams &params);
 
     /**
      * Schedule failDisk(idx) at tick @p at on the array's calendar
-     * and — when a dynamic-horizon bridge is installed — register the
-     * tick as a horizon barrier so the membership flip executes as a
+     * and — when a PDES bridge is installed — register the tick as a
+     * horizon barrier so the membership flip executes as a
      * serial synchronization point (no conservative window spans it).
      */
     void scheduleFailDisk(std::uint32_t idx, sim::Tick at);
@@ -233,7 +233,7 @@ class StorageArray
     void scheduleStartRebuild(std::uint32_t idx, sim::Tick at,
                               const RebuildParams &params);
 
-    /** Forwarders the PDES engine prices its dynamic horizon with;
+    /** Forwarders the PDES engine prices its horizons with;
      *  see DiskDrive::completionBoundTicks / minServiceFloorTicks. */
     sim::Tick driveCompletionBound(std::uint32_t idx,
                                    sim::Tick round_start);

@@ -100,7 +100,7 @@ class Bus
     sim::Tick transferTicks(std::uint64_t bytes) const;
 
     /** transferTicks for a parameter set, without a Bus instance —
-     *  the PDES lookahead derivation needs the minimum (one-sector)
+     *  the PDES horizon derivation needs the minimum (one-sector)
      *  transfer latency before any simulator exists. */
     static sim::Tick minTransferTicks(const BusParams &params,
                                       std::uint64_t bytes);

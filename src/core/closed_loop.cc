@@ -1,7 +1,5 @@
 #include "core/closed_loop.hh"
 
-#include <memory>
-
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "stats/sampler.hh"
@@ -24,16 +22,7 @@ runClosedLoop(const SystemConfig &config,
     sim::simAssert(params.horizonSeconds > 0.0,
                    "closed loop: needs a horizon");
 
-    // Same invariant-checking policy as runTrace: install unless the
-    // environment disables it or the caller already installed one.
-    std::unique_ptr<verify::InvariantChecker> checker;
-    std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::enabledFromEnv() &&
-        verify::activeChecker() == nullptr) {
-        checker = std::make_unique<verify::InvariantChecker>();
-        verify_scope =
-            std::make_unique<verify::VerifyScope>(checker.get());
-    }
+    verify::RunChecker checker;
 
     sim::Simulator simul;
     sim::Rng rng(params.seed);
@@ -90,8 +79,7 @@ runClosedLoop(const SystemConfig &config,
         simul.schedule(start, [&issue, w] { issue(w); });
     }
     simul.run();
-    if (checker)
-        checker->finalize();
+    checker.finalize();
     responses.seal();
 
     ClosedLoopResult result;

@@ -105,17 +105,7 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
             std::make_unique<telemetry::TraceScope>(tracer.get());
     }
 
-    // Runtime invariant checking rides along unless IDP_VERIFY=0 (or
-    // the build compiled it out). A checker already installed by the
-    // caller — tests observing this run — takes precedence.
-    std::unique_ptr<verify::InvariantChecker> checker;
-    std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::enabledFromEnv() &&
-        verify::activeChecker() == nullptr) {
-        checker = std::make_unique<verify::InvariantChecker>();
-        verify_scope =
-            std::make_unique<verify::VerifyScope>(checker.get());
-    }
+    verify::RunChecker checker;
 
     // Conservative intra-run PDES: opt-in per config or environment.
     // The serial path below stays untouched when disabled.
@@ -152,8 +142,7 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
     sim::simAssert(arr.idle(), "runTrace: array not drained");
     sim::simAssert(arr.stats().logicalCompletions == trace.size(),
                    "runTrace: lost requests");
-    if (checker)
-        checker->finalize();
+    checker.finalize();
     arr.sealStats();
 
     RunResult result;

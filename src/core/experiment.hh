@@ -46,9 +46,9 @@ struct SystemConfig
     /**
      * Intra-run PDES control for runTrace: < 0 (default) follows the
      * IDP_PDES / IDP_PDES_WORKERS environment, 0 forces the serial
-     * event loop, > 0 forces PDES with that many workers. Results are
-     * byte-identical either way; unsupported configurations (see
-     * exec::pdesUnsupportedReason) fail fast when PDES is requested.
+     * event loop, > 0 forces PDES with that many workers. Every
+     * configuration runs under PDES, and results are byte-identical
+     * either way.
      */
     int pdesWorkers = -1;
 };

@@ -191,9 +191,8 @@ class DiskDrive
 
     /**
      * Record scheduled cache-hit completion ticks for
-     * completionBoundTicks (PDES dynamic horizon). Off by default so
-     * serial runs pay nothing; the array enables it when its bridge
-     * derives horizons from drive state.
+     * completionBoundTicks (PDES horizons). Off by default so serial
+     * runs pay nothing; the array enables it under a PDES bridge.
      */
     void trackCompletionBounds(bool on) { trackHitBounds_ = on; }
 

@@ -16,8 +16,8 @@
  *     excluded from dispatch and shed their servo-hold power).
  *
  * Control law (evaluated every windowMs on the coordinator calendar;
- * under the dynamic-horizon engine every decision tick caps the
- * round's horizon, so governed runs stay PDES-legal and byte-exact):
+ * under PDES every decision tick caps the round's horizon, so
+ * governed runs stay byte-exact):
  *
  *   overloaded  := window p99 > sloP99Ms  OR  busy > busyHigh
  *   underloaded := window p99 < guard * sloP99Ms AND busy < busyLow

@@ -1,7 +1,6 @@
 #include "serve/service_loop.hh"
 
 #include <algorithm>
-#include <memory>
 #include <ostream>
 #include <utility>
 
@@ -447,16 +446,7 @@ runService(const core::SystemConfig &config, const ServeParams &params)
 {
     validateParams(params);
 
-    // Same invariant-checking policy as the batch drivers: install
-    // unless the environment disables it or one is already active.
-    std::unique_ptr<verify::InvariantChecker> checker;
-    std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::enabledFromEnv() &&
-        verify::activeChecker() == nullptr) {
-        checker = std::make_unique<verify::InvariantChecker>();
-        verify_scope =
-            std::make_unique<verify::VerifyScope>(checker.get());
-    }
+    verify::RunChecker checker;
 
     // The registry goes up before the array so module counters
     // register their handles against this run's registry.
@@ -588,8 +578,7 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     simul.schedule(ctx.endTick, [cp] { stopServing(*cp); });
 
     simul.run();
-    if (checker)
-        checker->finalize();
+    checker.finalize();
     arr.sealStats();
 
     ServeResult result;

@@ -10,11 +10,12 @@
  * disabled run is one thread-local load and branch per hook, bounded
  * by bench/micro_simcore.
  *
- * Runtime control is per run: core::runTrace and core::runClosedLoop
- * install an InvariantChecker for the duration of a run unless the
- * IDP_VERIFY environment variable disables it (IDP_VERIFY=0), and the
- * hooks see it through the thread-local current. Tests install their
- * own checker (often in Record mode) through VerifyScope.
+ * Runtime control is per run: core::runTrace, core::runClosedLoop and
+ * serve::runService each hold a RunChecker, which installs an
+ * InvariantChecker for the duration of the run unless the IDP_VERIFY
+ * environment variable disables it (IDP_VERIFY=0), and the hooks see
+ * it through the thread-local current. Tests install their own
+ * checker (often in Record mode) through VerifyScope.
  *
  * The hooks deliberately observe and never mutate: an installed
  * checker cannot perturb event order, RNG streams, or statistics, so
@@ -23,6 +24,8 @@
 
 #ifndef IDP_VERIFY_VERIFY_HH
 #define IDP_VERIFY_VERIFY_HH
+
+#include <optional>
 
 #include "verify/invariant_checker.hh"
 
@@ -50,6 +53,33 @@ constexpr InvariantChecker *activeChecker() { return nullptr; }
  *  on; any of "0", "off", "false" disables). Compiled-out builds
  *  always report false. */
 bool enabledFromEnv();
+
+/**
+ * A run's checker: installs a fresh InvariantChecker for the scope's
+ * lifetime when enabledFromEnv() and no checker is active yet. A
+ * checker the caller already installed (tests observing the run)
+ * takes precedence, and finalizing it stays the caller's job.
+ */
+class RunChecker
+{
+  public:
+    RunChecker()
+    {
+        if (enabledFromEnv() && activeChecker() == nullptr)
+            scope_.emplace(&owned_.emplace());
+    }
+
+    /** End-of-run checks on the checker this scope installed. */
+    void finalize()
+    {
+        if (owned_)
+            owned_->finalize();
+    }
+
+  private:
+    std::optional<InvariantChecker> owned_;
+    std::optional<VerifyScope> scope_;
+};
 
 // ---------------------------------------------------------------
 // Event-kernel hooks

@@ -162,8 +162,8 @@ pdesScenario(const std::string &name)
                 3000};
     }
     // Busless RAID-5: read-modify-write resubmits at the completion
-    // tick with zero bus latency — the static engine rejects it, the
-    // dynamic engine bounds horizons by drive completion floors.
+    // tick with zero bus latency — PDES bounds horizons by drive
+    // completion floors.
     core::SystemConfig nobus;
     nobus.name = "RAID5-4-nobus";
     nobus.array.layout = array::Layout::Raid5;
@@ -242,9 +242,9 @@ INSTANTIATE_TEST_SUITE_P(Matrix, PdesGolden,
 // streams under foreground traffic). runTrace has no failure hook, so
 // these drive a Simulator + StorageArray directly and pin a summary
 // CSV of the response/accounting numbers. With pdes_workers > 0 the
-// same scenario runs under the dynamic-horizon engine: the mid-run
-// failure goes through scheduleFailDisk (a horizon barrier) and the
-// bytes must not move.
+// same scenario runs under the PDES engine. Both runs schedule the
+// mid-run failure through scheduleFailDisk (under PDES it is also a
+// horizon barrier), and the bytes must not move.
 // ---------------------------------------------------------------
 
 std::string
@@ -289,11 +289,8 @@ runFailureScenario(const std::string &name, int pdes_workers = 0)
         array::RebuildParams rp;
         rp.chunkSectors = 65536;
         arr.startRebuild(0, rp);
-    } else if (prun) {
-        arr.scheduleFailDisk(1, 50 * sim::kTicksPerMs);
     } else {
-        simul.schedule(50 * sim::kTicksPerMs,
-                       [&arr] { arr.failDisk(1); });
+        arr.scheduleFailDisk(1, 50 * sim::kTicksPerMs);
     }
     if (prun)
         prun->run();

@@ -16,7 +16,6 @@
 #include "array/storage_array.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
-#include "exec/pdes.hh"
 #include "exec/sim_sweep.hh"
 #include "power/governor.hh"
 #include "verify/invariant_checker.hh"
@@ -229,46 +228,10 @@ TEST(GovernorDeathTest, BadEnvValueIsFatal)
 }
 
 // ---------------------------------------------------------------
-// PDES: under the static-horizon escape hatch, governed
-// configurations are rejected up front with a clear error. The
-// default dynamic-horizon engine accepts them (control ticks become
-// horizon barriers) and must replicate the serial bytes.
+// PDES: governed configurations run under the conservative engine
+// (control ticks become serial steps) and must replicate the serial
+// bytes.
 // ---------------------------------------------------------------
-
-TEST(GovernorPdes, StaticHorizonNamesTheGovernorDynamicAcceptsIt)
-{
-    core::SystemConfig config = core::makeRaid0System(
-        "governed",
-        disk::makeIntraDiskParallel(disk::barracudaEs750(), 2), 4);
-    EXPECT_EQ(exec::pdesUnsupportedReason(
-                  config.array, exec::PdesHorizonMode::Static),
-              nullptr);
-    config.array.governor = testGovernor();
-    const char *why = exec::pdesUnsupportedReason(
-        config.array, exec::PdesHorizonMode::Static);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find("governor"), std::string::npos);
-    EXPECT_EQ(exec::pdesUnsupportedReason(
-                  config.array, exec::PdesHorizonMode::Dynamic),
-              nullptr);
-}
-
-TEST(GovernorPdesDeathTest, GovernedRunUnderStaticPdesIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ASSERT_EQ(setenv("IDP_PDES_HORIZON", "static", 1), 0);
-    workload::SyntheticParams wp;
-    wp.requests = 10;
-    const auto trace = workload::generateSynthetic(wp);
-    core::SystemConfig config = core::makeRaid0System(
-        "governed",
-        disk::makeIntraDiskParallel(disk::barracudaEs750(), 2), 4);
-    config.array.governor = testGovernor();
-    config.pdesWorkers = 2;
-    EXPECT_EXIT(core::runTrace(trace, config),
-                ::testing::ExitedWithCode(1), "governor");
-    ASSERT_EQ(unsetenv("IDP_PDES_HORIZON"), 0);
-}
 
 TEST(GovernorPdes, GovernedRunUnderDynamicPdesMatchesSerial)
 {

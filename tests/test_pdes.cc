@@ -1,7 +1,7 @@
 /**
  * @file
- * Conservative-PDES battery: lookahead-window semantics, horizon
- * safety, merge-order model, rejection of inadmissible specs, and
+ * Conservative-PDES battery: horizon derivation, horizon safety,
+ * merge-order model, serial-step telemetry, bound admissibility, and
  * randomized stress runs byte-comparing full output against the
  * serial event loop at several worker counts.
  */
@@ -42,7 +42,9 @@ struct EnvGuard
 };
 
 // ---------------------------------------------------------------
-// Lookahead derivation
+// Horizon derivation: where no feedback path reads live drive state,
+// the per-round horizon reduces to a per-config constant — unbounded
+// for an open-loop fan-out, one sector's bus transfer with a bus.
 // ---------------------------------------------------------------
 
 core::SystemConfig
@@ -64,116 +66,66 @@ raid5WithBus(std::uint32_t disks)
     return config;
 }
 
-TEST(PdesLookahead, OpenLoopFanOutHasInfiniteLookahead)
+/** Round telemetry of one 4-worker PdesRun of @p trace. */
+struct RoundStats
+{
+    std::uint64_t rounds = 0;
+    std::uint64_t serialSteps = 0;
+    std::vector<std::uint64_t> widthHist;
+};
+
+RoundStats
+runRounds(const array::ArrayParams &params, const workload::Trace &trace)
+{
+    exec::PdesRun prun(params, 4, telemetry::TraceOptions{});
+    array::StorageArray arr(prun.coordSim(), params, nullptr, &prun);
+    prun.setArray(&arr);
+    for (const auto &req : trace)
+        prun.coordSim().schedule(req.arrival,
+                                 [&arr, req] { arr.submit(req); });
+    prun.run();
+    EXPECT_EQ(arr.stats().logicalCompletions, trace.size());
+
+    RoundStats r;
+    r.rounds = prun.rounds();
+    r.serialSteps = prun.serialSteps();
+    r.widthHist.assign(prun.horizonWidthHist(),
+                       prun.horizonWidthHist() +
+                           exec::PdesRun::kHorizonBuckets);
+    return r;
+}
+
+TEST(PdesHorizon, OpenLoopFanOutIsOneUnboundedRound)
 {
     // No bus and no RMW feedback: completions never influence any
     // future submission, so the whole run is one window.
-    EXPECT_EQ(exec::pdesLookahead(raid0NoBus(4).array),
-              sim::kTickNever);
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid0NoBus(4).array),
-              nullptr);
+    workload::SyntheticParams wp;
+    wp.requests = 1000;
+    const RoundStats r =
+        runRounds(raid0NoBus(4).array, workload::generateSynthetic(wp));
+    EXPECT_EQ(r.rounds, 1u);
+    EXPECT_EQ(r.serialSteps, 0u);
+    EXPECT_EQ(r.widthHist[exec::PdesRun::kHorizonBuckets - 1], 1u);
 }
 
-TEST(PdesLookahead, BusBoundsTheWindowByOneSectorTransfer)
+TEST(PdesHorizon, BusBoundsEveryRoundByOneSectorTransfer)
 {
     const core::SystemConfig config = raid5WithBus(4);
-    const sim::Tick lookahead = exec::pdesLookahead(config.array);
-    EXPECT_EQ(lookahead,
-              bus::Bus::minTransferTicks(config.array.bus,
-                                         geom::kSectorBytes));
-    EXPECT_GT(lookahead, 0u);
-    EXPECT_EQ(exec::pdesUnsupportedReason(config.array), nullptr);
-}
+    const sim::Tick transfer =
+        bus::Bus::minTransferTicks(config.array.bus, geom::kSectorBytes);
+    ASSERT_GT(transfer, 0u);
+    std::size_t bucket = 0;
+    for (sim::Tick w = transfer; w >>= 1;)
+        ++bucket;
 
-TEST(PdesLookahead, ZeroLookaheadSpecsAreNamed)
-{
-    using exec::PdesHorizonMode;
-    core::SystemConfig raid5 = raid5WithBus(4);
-    raid5.array.useBus = false;
-    EXPECT_EQ(exec::pdesLookahead(raid5.array), 0u);
-    const char *why = exec::pdesUnsupportedReason(
-        raid5.array, PdesHorizonMode::Static);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find("zero-lookahead"),
-              std::string::npos);
-
-    core::SystemConfig raid1;
-    raid1.array.layout = array::Layout::Raid1;
-    raid1.array.disks = 4;
-    raid1.array.drive = disk::barracudaEs750();
-    why = exec::pdesUnsupportedReason(raid1.array,
-                                      PdesHorizonMode::Static);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find(
-                  "prices replicas against live drive state"),
-              std::string::npos);
-
-    // The dynamic engine accepts every configuration.
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid5.array,
-                                          PdesHorizonMode::Dynamic),
-              nullptr);
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid1.array,
-                                          PdesHorizonMode::Dynamic),
-              nullptr);
-
-    // The env-reading overload follows IDP_PDES_HORIZON and defaults
-    // to dynamic.
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid1.array), nullptr);
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "static");
-        EXPECT_NE(exec::pdesUnsupportedReason(raid1.array), nullptr);
-    }
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "dynamic");
-        EXPECT_EQ(exec::pdesUnsupportedReason(raid1.array), nullptr);
-    }
-}
-
-TEST(PdesLookahead, HorizonModeEnvParsing)
-{
-    EXPECT_EQ(exec::pdesHorizonModeFromEnv(),
-              exec::PdesHorizonMode::Dynamic);
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "static");
-        EXPECT_EQ(exec::pdesHorizonModeFromEnv(),
-                  exec::PdesHorizonMode::Static);
-    }
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "");
-        EXPECT_EQ(exec::pdesHorizonModeFromEnv(),
-                  exec::PdesHorizonMode::Dynamic);
-    }
-}
-
-TEST(PdesLookaheadDeathTest, HorizonModeRejectsUnknownValues)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EnvGuard mode("IDP_PDES_HORIZON", "adaptive");
-    EXPECT_DEATH(exec::pdesHorizonModeFromEnv(), "IDP_PDES_HORIZON");
-}
-
-TEST(PdesLookaheadDeathTest, StaticModeRejectsZeroLookaheadSpecs)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EnvGuard mode("IDP_PDES_HORIZON", "static");
     workload::SyntheticParams wp;
-    wp.requests = 10;
-    const auto trace = workload::generateSynthetic(wp);
-
-    core::SystemConfig raid5 = raid5WithBus(4);
-    raid5.array.useBus = false;
-    raid5.pdesWorkers = 2; // force PDES on
-    EXPECT_EXIT(core::runTrace(trace, raid5),
-                testing::ExitedWithCode(1), "zero-lookahead");
-
-    core::SystemConfig raid1;
-    raid1.name = "pdes-raid1";
-    raid1.array.layout = array::Layout::Raid1;
-    raid1.array.disks = 4;
-    raid1.array.drive = disk::barracudaEs750();
-    raid1.pdesWorkers = 2;
-    EXPECT_EXIT(core::runTrace(trace, raid1),
-                testing::ExitedWithCode(1), "RAID-1 read routing");
+    wp.requests = 1000;
+    wp.meanInterArrivalMs = 2.0;
+    const RoundStats r =
+        runRounds(config.array, workload::generateSynthetic(wp));
+    EXPECT_GT(r.rounds, 1u);
+    EXPECT_EQ(r.serialSteps, 0u);
+    EXPECT_EQ(r.widthHist[bucket], r.rounds);
 }
 
 // ---------------------------------------------------------------
@@ -365,10 +317,9 @@ TEST(PdesExactness, CheckerAccountingIsExactAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Dynamic horizons: the configurations the static engine rejects
-// (RAID-1 replica pricing, busless RAID-5 RMW) must now run and
-// reproduce the serial bytes at several worker counts; the static
-// escape hatch must keep working for bus-bound configs.
+// Live-state horizons: the zero-latency feedback configurations
+// (RAID-1 replica pricing, busless RAID-5 RMW) must reproduce the
+// serial bytes at several worker counts.
 // ---------------------------------------------------------------
 
 core::SystemConfig
@@ -413,50 +364,23 @@ TEST(PdesDynamic, BuslessRaid5ByteIdenticalAcrossWorkers)
     EXPECT_EQ(serial, runToCsv(trace, config, 8));
 }
 
-TEST(PdesDynamic, StaticEscapeHatchReproducesBusBoundRuns)
-{
-    EnvGuard mode("IDP_PDES_HORIZON", "static");
-    workload::SyntheticParams wp;
-    wp.requests = 1000;
-    wp.meanInterArrivalMs = 2.0;
-    const auto trace = workload::generateSynthetic(wp);
-    const core::SystemConfig config = raid5WithBus(4);
-
-    const std::string serial = runToCsv(trace, config, 0);
-    EXPECT_EQ(serial, runToCsv(trace, config, 4));
-}
-
 TEST(PdesDynamic, SerialStepAndHorizonTelemetry)
 {
     // RAID-1 replica pricing reads live drive state, so every
     // dispatch tick must execute as a serial step — the counters and
     // the width histogram have to reflect that split exactly.
-    array::ArrayParams params;
-    params.layout = array::Layout::Raid1;
-    params.disks = 4;
-    params.drive = disk::barracudaEs750();
-
-    exec::PdesRun prun(params, 4, telemetry::TraceOptions{});
-    ASSERT_EQ(prun.horizonMode(), exec::PdesHorizonMode::Dynamic);
-    array::StorageArray arr(prun.coordSim(), params, nullptr, &prun);
-    prun.setArray(&arr);
-
     workload::SyntheticParams wp;
     wp.requests = 500;
     wp.meanInterArrivalMs = 1.0;
-    const auto trace = workload::generateSynthetic(wp);
-    for (const auto &req : trace)
-        prun.coordSim().schedule(req.arrival,
-                                 [&arr, req] { arr.submit(req); });
-    prun.run();
+    const RoundStats r = runRounds(raid1Positioning(4).array,
+                                   workload::generateSynthetic(wp));
 
-    EXPECT_GT(prun.serialSteps(), 0u);
-    EXPECT_GE(prun.rounds(), prun.serialSteps());
+    EXPECT_GT(r.serialSteps, 0u);
+    EXPECT_GE(r.rounds, r.serialSteps);
     std::uint64_t windowed = 0;
-    for (std::size_t b = 0; b < exec::PdesRun::kHorizonBuckets; ++b)
-        windowed += prun.horizonWidthHist()[b];
-    EXPECT_EQ(windowed + prun.serialSteps(), prun.rounds());
-    EXPECT_EQ(arr.stats().logicalCompletions, trace.size());
+    for (const std::uint64_t n : r.widthHist)
+        windowed += n;
+    EXPECT_EQ(windowed + r.serialSteps, r.rounds);
 }
 
 // ---------------------------------------------------------------
