@@ -66,6 +66,13 @@ DiskDrive::DiskDrive(sim::Simulator &simul, const DriveSpec &spec,
     // outermost zone inward, so cylinder 0 carries the densest track
     // (the fastest one-sector sweep the drive can ever do).
     maxSpt_ = geometry_.sectorsPerTrack(0);
+    busOneSectorTicks_ = busTicks(1);
+    // With a channel per arm no access ever waits for the channel, and
+    // without zero-latency reads the transfer length is fixed at
+    // dispatch, so the whole service time is known then.
+    exactFloorConfig_ = !spec_.zeroLatencyAccess &&
+        spec_.maxConcurrentTransfers >= n;
+    refreshServiceFloors();
 }
 
 sim::Tick
@@ -185,6 +192,7 @@ DiskDrive::requestRpm(std::uint32_t rpm)
     if (rpm == desiredRpm_)
         return;
     desiredRpm_ = rpm;
+    refreshServiceFloors();
     maybeStartRpmShift();
 }
 
@@ -208,6 +216,7 @@ DiskDrive::maybeStartRpmShift()
     idleTimer_ = sim::kInvalidEventId;
     rpmShifting_ = true;
     shiftTo_ = desiredRpm_;
+    refreshServiceFloors();
     ++stats_.rpmShifts;
     // The ramp is billed at the higher of the two speeds: open a
     // transition segment now, closed again when the new speed lands.
@@ -232,7 +241,7 @@ void
 DiskDrive::completeRpmShift()
 {
     rpmShifting_ = false;
-    applyRpm(sim_.now(), shiftTo_);
+    applyRpm(sim_.now(), shiftTo_); // refreshes the service floors
     // The governor may have retargeted mid-ramp.
     maybeStartRpmShift();
     tryDispatch();
@@ -248,6 +257,7 @@ DiskDrive::applyRpm(sim::Tick now, std::uint32_t rpm)
     // Re-derive every period-derived constant cached across the run.
     estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
         spindle_.periodTicks() / 2;
+    refreshServiceFloors();
     // Positioning-cost cache: the rotational halves were computed
     // under the old period (and the seek halves are cheap) — drop
     // everything rather than reason about which rows survive.
@@ -266,8 +276,8 @@ DiskDrive::busTicks(std::uint32_t sectors) const
     return controllerTicks_ + sim::secondsToTicks(secs);
 }
 
-sim::Tick
-DiskDrive::minTransferFloorTicks() const
+void
+DiskDrive::refreshServiceFloors()
 {
     const std::uint32_t s_par =
         std::max<std::uint32_t>(1, spec_.dash.surfaces);
@@ -290,15 +300,26 @@ DiskDrive::minTransferFloorTicks() const
         if (sweep > 0)
             --sweep;
     }
-    return controllerTicks_ + sweep / s_par;
-}
-
-sim::Tick
-DiskDrive::minServiceFloorTicks() const
-{
+    minTransferFloor_ = controllerTicks_ + sweep / s_par;
     // A fresh delivery either returns from the cache (buffer-bus
     // path, RPM-independent) or goes to media.
-    return std::min(busTicks(1), minTransferFloorTicks());
+    minServiceFloor_ = std::min(busOneSectorTicks_, minTransferFloor_);
+}
+
+void
+DiskDrive::noteHitBound(sim::Tick done)
+{
+    // Entries behind the drive clock have fired. Dropping them here
+    // keeps the heap at O(outstanding hits) however rarely the
+    // horizon queries it.
+    while (!hitHeap_.empty() && hitHeap_.front() < sim_.now()) {
+        std::pop_heap(hitHeap_.begin(), hitHeap_.end(),
+                      std::greater<sim::Tick>());
+        hitHeap_.pop_back();
+    }
+    hitHeap_.push_back(done);
+    std::push_heap(hitHeap_.begin(), hitHeap_.end(),
+                   std::greater<sim::Tick>());
 }
 
 sim::Tick
@@ -311,7 +332,7 @@ DiskDrive::completionBoundTicks(sim::Tick round_start)
     }
     sim::Tick bound =
         hitHeap_.empty() ? sim::kTickNever : hitHeap_.front();
-    const sim::Tick xfer_floor = minTransferFloorTicks();
+    const sim::Tick xfer_floor = minTransferFloor_;
     for (const Active &a : activePool_) {
         // Destage traffic completes drive-internally; any foreground
         // work it unblocks is covered by the queued-work floor.
@@ -405,12 +426,43 @@ sim::Tick
 DiskDrive::transferTicks(const geom::Chs &start,
                          std::uint32_t sectors) const
 {
+    const std::uint32_t surfaces = geometry_.surfaces();
+    const std::uint32_t last_cyl = geometry_.cylinders() - 1;
     sim::Tick ticks = 0;
     geom::Chs cur = start;
     std::uint32_t remaining = sectors;
     while (remaining > 0) {
-        const std::uint32_t spt =
-            geometry_.sectorsPerTrack(cur.cylinder);
+        const geom::Zone &zone = geometry_.zoneOfCylinder(cur.cylinder);
+        const std::uint32_t spt = zone.sectorsPerTrack;
+        if (cur.sector == 0 && remaining > spt) {
+            // Closed form for the run of full tracks inside this zone
+            // that each end in a head advance: n sweeps, one
+            // single-cylinder seek per head wrap, a head switch per
+            // other advance. Stops short of the last track (a partial
+            // or final read) and of the disk's last track (whose
+            // advance would run off the end).
+            const std::uint32_t zone_last =
+                zone.firstCylinder + zone.cylinders - 1;
+            std::uint32_t n = (zone_last - cur.cylinder) * surfaces +
+                (surfaces - cur.head);
+            if (zone_last == last_cyl)
+                --n;
+            n = std::min(n, (remaining - 1) / spt);
+            if (n > 0) {
+                const std::uint32_t wraps = (cur.head + n) / surfaces;
+                ticks += static_cast<sim::Tick>(n) *
+                        spindle_.sweepTicks(1.0) +
+                    static_cast<sim::Tick>(wraps) *
+                        seekModel_.seekTicks(1, false) +
+                    static_cast<sim::Tick>(n - wraps) * headSwitchTicks_;
+                const std::uint32_t track = cur.head + n;
+                cur.cylinder += track / surfaces;
+                cur.head = track % surfaces;
+                remaining -= n * spt;
+                continue;
+            }
+        }
+        // One (partial or final) track at a time.
         const std::uint32_t avail = spt - cur.sector;
         const std::uint32_t take = std::min(remaining, avail);
         ticks += spindle_.sweepTicks(static_cast<double>(take) /
@@ -419,7 +471,7 @@ DiskDrive::transferTicks(const geom::Chs &start,
         if (remaining == 0)
             break;
         cur.sector = 0;
-        if (++cur.head >= geometry_.surfaces()) {
+        if (++cur.head >= surfaces) {
             cur.head = 0;
             if (cur.cylinder + 1 >= geometry_.cylinders())
                 break; // ran off the end; truncated transfer
@@ -644,11 +696,8 @@ DiskDrive::submit(const workload::IoRequest &req)
             ++stats_.cacheHits;
             telemetry::bump(ctrCacheHits_);
             const sim::Tick done = sim_.now() + busTicks(req.sectors);
-            if (trackHitBounds_) {
-                hitHeap_.push_back(done);
-                std::push_heap(hitHeap_.begin(), hitHeap_.end(),
-                               std::greater<sim::Tick>());
-            }
+            if (trackHitBounds_)
+                noteHitBound(done);
             telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
                                 sim_.now(), done, telemetryId_);
             workload::IoRequest copy = req;
@@ -672,11 +721,8 @@ DiskDrive::submit(const workload::IoRequest &req)
             // Write-back absorbed the write; destage happens later.
             telemetry::bump(ctrCacheHits_);
             const sim::Tick done = sim_.now() + busTicks(req.sectors);
-            if (trackHitBounds_) {
-                hitHeap_.push_back(done);
-                std::push_heap(hitHeap_.begin(), hitHeap_.end(),
-                               std::greater<sim::Tick>());
-            }
+            if (trackHitBounds_)
+                noteHitBound(done);
             telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
                                 sim_.now(), done, telemetryId_);
             workload::IoRequest copy = req;
@@ -782,6 +828,19 @@ DiskDrive::totalSectors(const Active &active) const
     for (const auto &rider : active.riders)
         total += rider.sectors;
     return total;
+}
+
+sim::Tick
+DiskDrive::mediaTransferTicks(const Active &active) const
+{
+    // The DASH S dimension streams from several surfaces at once,
+    // dividing the media-transfer portion of the service time.
+    const std::uint32_t s_par =
+        std::max<std::uint32_t>(1, spec_.dash.surfaces);
+    const sim::Tick media = active.xferOverride > 0
+        ? active.xferOverride
+        : transferTicks(active.chs, totalSectors(active));
+    return media / s_par + controllerTicks_;
 }
 
 void
@@ -927,7 +986,23 @@ DiskDrive::startService(Active active)
     const bool needs_motion = active.seekTicks > 0;
     const sim::Tick seek_ticks = active.seekTicks;
     active.phase = Phase::Seeking;
-    active.doneFloor = now + seek_ticks + minTransferFloorTicks();
+    if (trackHitBounds_ && exactFloorConfig_ && !rpmShifting_) {
+        // Nothing after dispatch can delay this access (no channel
+        // wait, no zero-latency override, no ramp while it is in
+        // flight), so its completion tick is known now. The rotational
+        // wait at seek end goes to startRotation through predRot, the
+        // transfer to tryStartTransfer through xferTicks. A media
+        // retry only adds time, so the floor stays admissible.
+        const sim::Tick rot_at = now + seek_ticks;
+        if (active.predRotAt != rot_at) {
+            active.predRot = armRotWait(rot_at, active.chs, active.arm);
+            active.predRotAt = rot_at;
+        }
+        active.xferTicks = mediaTransferTicks(active);
+        active.doneFloor = rot_at + active.predRot + active.xferTicks;
+    } else {
+        active.doneFloor = now + seek_ticks + minTransferFloor_;
+    }
     const std::uint64_t id = installActive(std::move(active));
 
     if (needs_motion) {
@@ -1001,7 +1076,8 @@ DiskDrive::startRotation(std::uint64_t id)
                 ++stats_.zeroLatencyHits;
                 telemetry::bump(ctrZeroLatHits_);
                 active.xferOverride = period;
-                active.doneFloor = now + minTransferFloorTicks();
+                active.doneFloor =
+                    std::max(active.doneFloor, now + minTransferFloor_);
                 onRotationDone(id);
                 return;
             }
@@ -1013,7 +1089,8 @@ DiskDrive::startRotation(std::uint64_t id)
         : armRotWait(now, active.chs, active.arm);
     active.predRotAt = sim::kTickNever;
     active.rotTicks += wait;
-    active.doneFloor = now + wait + minTransferFloorTicks();
+    active.doneFloor =
+        std::max(active.doneFloor, now + wait + minTransferFloor_);
     if (wait > 0) {
         telemetry::emitSpan(active.req.id,
                             telemetry::SpanKind::RotWait, now,
@@ -1047,18 +1124,15 @@ DiskDrive::tryStartTransfer(std::uint64_t id)
     ++activeTransfers_;
     modes_.transferStart(now);
     active.phase = Phase::Transferring;
-    // The DASH S dimension streams from several surfaces at once,
-    // dividing the media-transfer portion of the service time.
-    const std::uint32_t s_par =
-        std::max<std::uint32_t>(1, spec_.dash.surfaces);
-    if (active.xferOverride > 0)
-        active.xferTicks =
-            active.xferOverride / s_par + controllerTicks_;
-    else
-        active.xferTicks =
-            transferTicks(active.chs, totalSectors(active)) / s_par +
-            controllerTicks_;
-    active.doneFloor = now + active.xferTicks; // exact from here
+    // Priced once per access: the run, the spindle speed and any
+    // zero-latency override are fixed while it is in flight, so a
+    // retry re-transfers in the same time (and the exact-floor path
+    // priced it at dispatch).
+    if (active.xferTicks == 0)
+        active.xferTicks = mediaTransferTicks(active);
+    // Exact from here. Raising (not overwriting) keeps an earlier
+    // floor that overshot visible to the completion check.
+    active.doneFloor = std::max(active.doneFloor, now + active.xferTicks);
     telemetry::emitSpan(active.req.id, telemetry::SpanKind::Transfer,
                         now, now + active.xferTicks, telemetryId_,
                         static_cast<std::uint16_t>(active.arm));
@@ -1087,7 +1161,8 @@ DiskDrive::wakeNextChannelWaiter(bool defer_zero_wait)
     const sim::Tick extra = armRotWait(now, waiter.chs, waiter.arm);
     waiter.rotTicks += extra;
     waiter.phase = Phase::Rotating;
-    waiter.doneFloor = now + extra + minTransferFloorTicks();
+    waiter.doneFloor =
+        std::max(waiter.doneFloor, now + extra + minTransferFloor_);
     if (extra > 0) {
         telemetry::emitSpan(waiter.req.id,
                             telemetry::SpanKind::RotWait, now,
@@ -1126,7 +1201,8 @@ DiskDrive::onTransferDone(std::uint64_t id)
             const sim::Tick rev = spindle_.periodTicks();
             active.rotTicks += rev;
             active.phase = Phase::Rotating;
-            active.doneFloor = now + rev + minTransferFloorTicks();
+            active.doneFloor = std::max(active.doneFloor,
+                                        now + rev + minTransferFloor_);
             telemetry::emitSpan(
                 active.req.id, telemetry::SpanKind::RotWait, now,
                 now + rev, telemetryId_,

@@ -158,6 +158,16 @@ class DiskDrive
     sim::Tick readPriceTicks(geom::Lba lba,
                              std::uint32_t sectors) const;
 
+    /**
+     * Media time to read @p sectors starting at @p start: one sweep
+     * per track, a head switch or single-cylinder seek per track
+     * advance, truncated at the last cylinder. Full tracks inside a
+     * zone are priced in closed form. Excludes controller overhead
+     * and surface parallelism.
+     */
+    sim::Tick transferTicks(const geom::Chs &start,
+                            std::uint32_t sectors) const;
+
     /** Requests currently in mechanical service. */
     std::size_t inFlight() const { return activeCount_; }
 
@@ -166,14 +176,20 @@ class DiskDrive
      * host-visible completion can fire, evaluated for a conservative
      * window starting at @p round_start (the PDES engine's dynamic
      * horizon). Combines the scheduled cache-hit/write-absorb
-     * completion ticks, each in-flight access's phase floor
-     * (Transferring is exact; earlier phases add the minimum
-     * remaining transfer), and a queued-work floor of
+     * completion ticks, each in-flight access's floor, and a
+     * queued-work floor of
      * round_start + minServiceFloorTicks(). kTickNever when nothing
      * is queued or in flight — an idle drive cannot complete anything
      * until the coordinator feeds it. Allocation-free; lazily prunes
      * already-fired cache-hit entries (@p round_start is the global
      * minimum pending activity, so entries behind it have fired).
+     *
+     * An in-flight floor is exact from dispatch when nothing after
+     * dispatch can delay the access: a channel per arm (no channel
+     * wait), no zero-latency reads, no RPM ramp. Otherwise it is the
+     * phase floor (exact once Transferring; earlier phases add the
+     * minimum remaining transfer). A media retry only adds time, and
+     * later phases only raise the floor, so it stays admissible.
      */
     sim::Tick completionBoundTicks(sim::Tick round_start);
 
@@ -185,14 +201,16 @@ class DiskDrive
      * half is priced at the fastest RPM the drive can reach without a
      * new (serially synchronized) governor decision —
      * max(current, desired, in-flight ramp target) — so the floor
-     * stays admissible across a mid-window ramp completion.
+     * stays admissible across a mid-window ramp completion. Cached
+     * per RPM state (see refreshServiceFloors).
      */
-    sim::Tick minServiceFloorTicks() const;
+    sim::Tick minServiceFloorTicks() const { return minServiceFloor_; }
 
     /**
-     * Record scheduled cache-hit completion ticks for
-     * completionBoundTicks (PDES horizons). Off by default so serial
-     * runs pay nothing; the array enables it under a PDES bridge.
+     * Record scheduled cache-hit completion ticks and exact in-flight
+     * floors for completionBoundTicks (PDES horizons). Off by default
+     * so serial runs pay nothing; the array enables it under a PDES
+     * bridge.
      */
     void trackCompletionBounds(bool on) { trackHitBounds_ = on; }
 
@@ -597,14 +615,23 @@ class DiskDrive
 
     /**
      * Min-heap of scheduled cache-hit / write-absorb completion ticks
-     * (only fed while trackHitBounds_; lazily pruned by
-     * completionBoundTicks against the round start, which is the
-     * global minimum pending activity — entries behind it fired).
+     * (only fed while trackHitBounds_). Fired entries are pruned on
+     * push against the drive clock and by completionBoundTicks
+     * against the round start, which is the global minimum pending
+     * activity.
      */
     std::vector<sim::Tick> hitHeap_;
     bool trackHitBounds_ = false;
     /** Densest zone's sectors-per-track (fastest one-sector sweep). */
     std::uint32_t maxSpt_ = 1;
+    /** One-sector cache-hit return (RPM-independent). */
+    sim::Tick busOneSectorTicks_ = 0;
+    /** RPM-dependent floors; see refreshServiceFloors. */
+    sim::Tick minTransferFloor_ = 0;
+    sim::Tick minServiceFloor_ = 0;
+    /** No access can wait for the channel or take the zero-latency
+     *  path, so in-flight floors can be exact from dispatch. */
+    bool exactFloorConfig_ = false;
 
     std::uint32_t totalSectors(const Active &active) const;
     void tryDispatch();
@@ -616,6 +643,9 @@ class DiskDrive
     void onTransferDone(std::uint64_t id);
     void completeActive(std::uint64_t id);
     void maybeDestage();
+    /** Push a scheduled hit completion onto hitHeap_, pruning fired
+     *  entries. */
+    void noteHitBound(sim::Tick done);
 
     /** Arena plumbing for the pending queues. */
     std::uint32_t allocPending(const workload::IoRequest &req,
@@ -682,17 +712,21 @@ class DiskDrive
     /** armRotWait with the sector angle already resolved. */
     sim::Tick armRotWaitAngle(sim::Tick at, double angle,
                               std::uint32_t arm_index) const;
-    sim::Tick transferTicks(const geom::Chs &start,
-                            std::uint32_t sectors) const;
     sim::Tick busTicks(std::uint32_t sectors) const;
+    /** Transfer phase of @p active: media sweep (or the zero-latency
+     *  override) over the surface parallelism, plus controller
+     *  overhead. */
+    sim::Tick mediaTransferTicks(const Active &active) const;
     /**
-     * Minimum one-sector media path: controller overhead plus the
+     * Recompute the RPM-dependent floors. minTransferFloor_ is the
+     * minimum one-sector media path: controller overhead plus the
      * densest zone's one-sector sweep at the fastest reachable RPM
      * (see minServiceFloorTicks), divided by the parallelism the spec
-     * grants a single access. Ignores seek, settle, and rotational
+     * grants a single access. It ignores seek, settle, and rotational
      * wait — all nonnegative — so it lower-bounds any media transfer.
+     * Called wherever the current, desired or ramp-target RPM moves.
      */
-    sim::Tick minTransferFloorTicks() const;
+    void refreshServiceFloors();
 };
 
 } // namespace disk

@@ -67,6 +67,7 @@ PdesRun::PdesRun(const array::ArrayParams &params, unsigned workers,
         driveSims_.back()->setVerifyDomain(2 + i);
     }
     inbox_.resize(params.disks);
+    inboxMin_.assign(params.disks, sim::kTickNever);
     outbox_.resize(params.disks);
     // More workers than drives cannot help: windows are per drive.
     workers_ = std::max(1u, std::min(workers, params.disks));
@@ -101,6 +102,7 @@ PdesRun::deliver(std::uint32_t disk_idx,
                        (horizon_ != sim::kTickNever && at >= horizon_),
                    "pdes: delivery behind the synchronization horizon");
     inbox_[disk_idx].push_back(InItem{at, deliverSeq_++, sub});
+    inboxMin_[disk_idx] = std::min(inboxMin_[disk_idx], at);
 }
 
 void
@@ -135,9 +137,8 @@ PdesRun::nextActivityTick()
                            arraySim_.nextEventTime());
     for (auto &s : driveSims_)
         t = std::min(t, s->nextEventTime());
-    for (const auto &in : inbox_)
-        for (const InItem &item : in)
-            t = std::min(t, item.at);
+    for (const sim::Tick at : inboxMin_)
+        t = std::min(t, at);
     return t;
 }
 
@@ -226,23 +227,24 @@ PdesRun::computeHorizon(sim::Tick t)
     const bool feedback = feedbackConfig_ || rebuildActive_;
     if (serial_coord)
         h = std::min(h, coordSim_.nextEventTime());
+    // Every term below only lowers h, and any h <= t already makes
+    // the round a serial step: stop as soon as that is decided.
+    if (!feedback || h <= t)
+        return h;
     sim::Tick min_floor = sim::kTickNever;
     const auto drives = static_cast<std::uint32_t>(driveSims_.size());
     for (std::uint32_t i = 0; i < drives; ++i) {
-        // Query unconditionally: the call also lazily prunes the
-        // drive's cache-hit bound heap against the advancing round
-        // start, keeping it at O(outstanding hits).
-        const sim::Tick bound = arr_->driveCompletionBound(i, t);
-        if (!feedback)
-            continue;
-        h = std::min(h, bound);
+        h = std::min(h, arr_->driveCompletionBound(i, t));
+        if (h <= t)
+            return h;
         const sim::Tick floor = arr_->driveMinServiceFloor(i);
         min_floor = std::min(min_floor, floor);
-        // Undelivered cross-layer work becomes drive work at item.at.
-        for (const InItem &item : inbox_[i])
-            h = std::min(h, item.at + floor);
+        // Undelivered cross-layer work becomes drive work at item.at;
+        // the earliest item bounds them all.
+        if (inboxMin_[i] != sim::kTickNever)
+            h = std::min(h, inboxMin_[i] + floor);
     }
-    if (feedback && min_floor != sim::kTickNever) {
+    if (min_floor != sim::kTickNever) {
         // The coordinator's next feed event can create fresh drive
         // work; nothing it creates can complete before this.
         const sim::Tick cn = coordSim_.nextEventTime();
@@ -266,6 +268,11 @@ PdesRun::serialStep(sim::Tick t)
     arraySim_.advanceTo(t);
     for (auto &s : driveSims_)
         s->advanceTo(t);
+    // Windowed rounds drain every outbox in their merge, and complete()
+    // replays inline during serial steps, so no capture is pending.
+    for (const auto &out : outbox_)
+        sim::simAssert(out.empty(),
+                       "pdes: capture pending at a serial step");
     // Phase fixpoint: an event at t may create more same-tick work on
     // any calendar (rebuild completion -> pump -> member submits);
     // loop until nothing at or before t remains anywhere.
@@ -278,26 +285,12 @@ PdesRun::serialStep(sim::Tick t)
         }
         for (std::uint32_t i = 0;
              i < static_cast<std::uint32_t>(driveSims_.size()); ++i) {
-            bool has = driveSims_[i]->nextEventTime() <= t;
-            if (!has)
-                for (const InItem &item : inbox_[i])
-                    if (item.at <= t) {
-                        has = true;
-                        break;
-                    }
-            if (!has)
+            if (driveSims_[i]->nextEventTime() > t && inboxMin_[i] > t)
                 continue;
             driveWindowTask(i, t + 1);
             progress = true;
         }
-        bool merge = arraySim_.nextEventTime() <= t;
-        if (!merge)
-            for (const auto &out : outbox_)
-                if (!out.empty()) {
-                    merge = true;
-                    break;
-                }
-        if (merge) {
+        if (arraySim_.nextEventTime() <= t) {
             active_ = &arraySim_;
             mergePhase(t + 1);
             progress = true;
@@ -321,14 +314,8 @@ PdesRun::runDrives(sim::Tick horizon)
     busy_.clear();
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(driveSims_.size()); ++i) {
-        bool has = driveSims_[i]->nextEventTime() < horizon;
-        if (!has)
-            for (const InItem &item : inbox_[i])
-                if (item.at < horizon) {
-                    has = true;
-                    break;
-                }
-        if (has)
+        if (driveSims_[i]->nextEventTime() < horizon ||
+            inboxMin_[i] < horizon)
             busy_.push_back(i);
     }
     if (busy_.empty())
@@ -386,6 +373,12 @@ PdesRun::runDriveWindow(std::uint32_t i, sim::Tick horizon)
     }
     in.erase(in.begin(),
              in.begin() + static_cast<std::ptrdiff_t>(taken));
+    // Leftovers lie at or beyond the horizon (plus any delivery a
+    // serial-step replay pushed meanwhile): usually none.
+    sim::Tick rest = sim::kTickNever;
+    for (const InItem &item : in)
+        rest = std::min(rest, item.at);
+    inboxMin_[i] = rest;
     s.runBefore(horizon);
 }
 

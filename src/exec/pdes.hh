@@ -27,12 +27,19 @@
  * Horizons are derived per round from live state, so every
  * configuration is legal. Each drive exports an admissible lower
  * bound on its earliest next host-visible completion
- * (DiskDrive::completionBoundTicks: exact in-flight transfer ends,
- * phase floors of earlier stages, a queued-work floor of seek-free +
- * rotation-free one-sector service — an idle drive with an empty
- * inbox is unbounded until the coordinator feeds it). The round's
- * horizon is the min over those bounds (when completions feed
- * submissions), pending cross-layer deliveries plus their minimum
+ * (DiskDrive::completionBoundTicks: one floor per in-flight access,
+ * a queued-work floor of seek-free + rotation-free one-sector service
+ * — an idle drive with an empty inbox is unbounded until the
+ * coordinator feeds it). An in-flight floor is exact from dispatch
+ * when nothing can delay the access — a channel per arm, no
+ * zero-latency reads, no RPM ramp — and otherwise a phase floor
+ * (exact once transferring, earlier phases add one minimum transfer);
+ * it is only ever raised afterwards, and a media retry only adds
+ * time, so it stays admissible. The service floors depend only on
+ * RPM state and are cached per drive until that state moves.
+ *
+ * The round's horizon is the min over those bounds (when completions
+ * feed submissions), pending cross-layer deliveries plus their minimum
  * service, the one-sector bus transfer latency (when a bus is
  * modeled), the next coordinator event (when coordinator events read
  * live drive state — RAID-1 pricing, governor control, the rebuild
@@ -238,6 +245,9 @@ class PdesRun final : public array::ArrayBridge
     sim::Simulator arraySim_;
     std::vector<std::unique_ptr<sim::Simulator>> driveSims_;
     std::vector<std::vector<InItem>> inbox_;
+    /** Earliest InItem::at per inbox (kTickNever when empty), kept on
+     *  deliver and consumption so round bookkeeping never rescans. */
+    std::vector<sim::Tick> inboxMin_;
     std::vector<std::vector<OutRec>> outbox_;
     std::vector<OutRec> merged_;
     /** Per-drive span rings (single-writer each); merged after run. */

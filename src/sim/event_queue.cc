@@ -180,7 +180,7 @@ Simulator::purgeCancelled()
 }
 
 Tick
-Simulator::nextEventTime()
+Simulator::nextEventTimeSlow()
 {
     purgeCancelled();
     return heap_.empty() ? kTickNever : heap_[0].when;

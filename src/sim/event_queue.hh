@@ -148,8 +148,17 @@ class Simulator
     void advanceTo(Tick t);
 
     /** Tick of the earliest pending event (kTickNever when drained).
-     *  Lazily discards cancelled entries sitting on the heap top. */
-    Tick nextEventTime();
+     *  Lazily discards cancelled entries sitting on the heap top; the
+     *  common live-top case is inline (PDES rounds poll it often). */
+    Tick
+    nextEventTime()
+    {
+        if (heap_.empty())
+            return kTickNever;
+        if (!slab_[heap_[0].slot].cancelled) [[likely]]
+            return heap_[0].when;
+        return nextEventTimeSlow();
+    }
 
     /**
      * Tag this calendar for the invariant checker's per-domain clock
@@ -220,6 +229,8 @@ class Simulator
     void releaseSlot(std::uint32_t slot);
     /** Pop cancelled entries off the heap top (lazy-cancel cleanup). */
     void purgeCancelled();
+    /** nextEventTime when the heap top is cancelled. */
+    Tick nextEventTimeSlow();
     void heapPush(HeapItem item);
     HeapItem heapPopMin();
 

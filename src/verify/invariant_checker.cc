@@ -136,8 +136,8 @@ InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
     observations_.fetch_add(1, std::memory_order_relaxed);
     touch(dev, done);
     DiskState &d = disk(dev);
-    auto it = d.outstanding.find(id);
-    if (it == d.outstanding.end() || it->second.count == 0) {
+    OutstandingEntry *e = d.outstanding.find(id);
+    if (e == nullptr || e->count == 0) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id
            << " completed more times than it was submitted";
@@ -145,15 +145,15 @@ InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
         return;
     }
     ++d.completions;
-    if (done < it->second.lastSubmit + min_service) {
+    if (done < e->lastSubmit + min_service) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id << " completed at "
            << done << ", before submit + minimum service ("
-           << it->second.lastSubmit + min_service << ")";
+           << e->lastSubmit + min_service << ")";
         fail(os.str());
     }
-    if (--it->second.count == 0)
-        d.outstanding.erase(it);
+    if (--e->count == 0)
+        d.outstanding.erase(id);
 }
 
 void
@@ -253,14 +253,15 @@ InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
            << ")";
         fail(os.str());
     }
-    auto [it, inserted] = joins_.emplace(join_id, JoinState{});
+    bool inserted = false;
+    JoinState &join = joins_.findOrInsert(join_id, inserted);
     if (!inserted) {
         std::ostringstream os;
         os << "array: join id " << join_id << " reused";
         fail(os.str());
         return;
     }
-    it->second.arrival = arrival;
+    join.arrival = arrival;
     ++joinsCreated_;
 }
 
@@ -268,16 +269,16 @@ void
 InvariantChecker::arraySub(std::uint64_t join_id)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
-    auto it = joins_.find(join_id);
-    if (it == joins_.end() || it->second.joined) {
+    JoinState *join = joins_.find(join_id);
+    if (join == nullptr || join->joined) {
         std::ostringstream os;
         os << "array: sub-request issued for "
-           << (it == joins_.end() ? "unknown" : "already-joined")
+           << (join == nullptr ? "unknown" : "already-joined")
            << " join " << join_id;
         fail(os.str());
         return;
     }
-    ++it->second.outstanding;
+    ++join->outstanding;
 }
 
 void
@@ -285,15 +286,15 @@ InvariantChecker::arraySubFinish(std::uint64_t join_id, sim::Tick done)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
     (void)done;
-    auto it = joins_.find(join_id);
-    if (it == joins_.end() || it->second.outstanding == 0) {
+    JoinState *join = joins_.find(join_id);
+    if (join == nullptr || join->outstanding == 0) {
         std::ostringstream os;
         os << "array: sub-completion for join " << join_id
            << " with no outstanding sub-requests";
         fail(os.str());
         return;
     }
-    --it->second.outstanding;
+    --join->outstanding;
 }
 
 void
@@ -301,18 +302,18 @@ InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
                             sim::Tick done)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
-    auto it = joins_.find(join_id);
-    if (it == joins_.end() || it->second.joined) {
+    JoinState *join = joins_.find(join_id);
+    if (join == nullptr || join->joined) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed "
-           << (it == joins_.end() ? "without a split" : "twice");
+           << (join == nullptr ? "without a split" : "twice");
         fail(os.str());
         return;
     }
-    if (it->second.outstanding != 0) {
+    if (join->outstanding != 0) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed with "
-           << it->second.outstanding << " sub-requests outstanding";
+           << join->outstanding << " sub-requests outstanding";
         fail(os.str());
     }
     if (done < arrival) {
@@ -321,9 +322,9 @@ InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
            << ", before its arrival " << arrival;
         fail(os.str());
     }
-    it->second.joined = true;
+    join->joined = true;
     ++joinsCompleted_;
-    joins_.erase(it);
+    joins_.erase(join_id);
 }
 
 void

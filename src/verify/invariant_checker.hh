@@ -30,6 +30,7 @@
 
 #include "sim/types.hh"
 #include "stats/mode_tracker.hh"
+#include "verify/id_table.hh"
 
 namespace idp {
 namespace verify {
@@ -169,7 +170,7 @@ class InvariantChecker
 
     struct DiskState
     {
-        std::unordered_map<std::uint64_t, OutstandingEntry> outstanding;
+        IdTable<OutstandingEntry> outstanding;
         std::uint64_t submits = 0;
         std::uint64_t completions = 0;
         sim::Tick lastSeen = 0;
@@ -199,7 +200,7 @@ class InvariantChecker
      *  PDES. Each drive's state is only touched from the calendar
      *  that owns the drive, so entries need no locks. */
     std::vector<DiskState> disks_;
-    std::unordered_map<std::uint64_t, JoinState> joins_;
+    IdTable<JoinState> joins_;
     std::uint64_t joinsCreated_ = 0;
     std::uint64_t joinsCompleted_ = 0;
     /** Spare writes seen per announced rebuild chunk. */

@@ -458,6 +458,87 @@ TEST(PdesAdmissibility, CompletionFloorsHoldUnderTimeVaryingRpm)
     }
 }
 
+// ---------------------------------------------------------------
+// Exact in-flight floors: a conventional mirror prices each access's
+// completion at dispatch (media retries only add time), an SA(4)
+// mirror with one data channel keeps the phase floors. Both must
+// reproduce the serial bytes and stay checker-clean.
+// ---------------------------------------------------------------
+
+/** Serial CSV, then checker-clean PDES runs at 1 and 4 workers that
+ *  must match it byte for byte. */
+void
+expectCleanPdesMatchesSerial(const workload::Trace &trace,
+                             const core::SystemConfig &config)
+{
+    const std::string serial = runToCsv(trace, config, 0);
+    for (const int workers : {1, 4}) {
+        verify::InvariantChecker checker(verify::FailMode::Record);
+        std::string pdes;
+        {
+            verify::VerifyScope scope(&checker);
+            pdes = runToCsv(trace, config, workers);
+        }
+        checker.finalize();
+        EXPECT_EQ(serial, pdes) << "workers " << workers;
+        EXPECT_TRUE(checker.violations().empty())
+            << "workers " << workers << ": "
+            << checker.violations().front();
+        if (verify::kCompiledIn) {
+            EXPECT_GT(checker.observations(), trace.size());
+        }
+    }
+}
+
+TEST(PdesExactFloor, Raid1MediaRetriesMatchSerial)
+{
+    workload::SyntheticParams wp;
+    wp.requests = 3000;
+    wp.meanInterArrivalMs = 1.0;
+    wp.seed = 0x4E7AULL;
+    const auto trace = workload::generateSynthetic(wp);
+    core::SystemConfig config = raid1Positioning(4);
+    config.array.drive.mediaRetryRate = 0.1;
+
+    core::SystemConfig serial = config;
+    serial.pdesWorkers = 0;
+    EXPECT_GT(core::runTrace(trace, serial).mediaRetries, 0u);
+    expectCleanPdesMatchesSerial(trace, config);
+}
+
+TEST(PdesExactFloor, Sa4MirrorMatchesSerialAtBothChannelBudgets)
+{
+    // One shared channel (contention: phase floors) and a channel
+    // per arm (several exact floors in flight per drive).
+    workload::SyntheticParams wp;
+    wp.requests = 3000;
+    wp.meanInterArrivalMs = 0.5;
+    wp.seed = 0xC4A7ULL;
+    const auto trace = workload::generateSynthetic(wp);
+    for (const std::uint32_t channels : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << channels << " channels");
+        core::SystemConfig config = raid1Positioning(4);
+        config.array.drive =
+            disk::makeIntraDiskParallel(disk::barracudaEs750(), 4);
+        config.array.drive.maxConcurrentTransfers = channels;
+
+        if (channels == 1 && telemetry::kCompiledIn) {
+            // Four arms share one data channel: transfers collide.
+            telemetry::TraceOptions topts;
+            topts.enabled = true;
+            core::SystemConfig serial = config;
+            serial.pdesWorkers = 0;
+            double blocks = 0.0;
+            for (const auto &m :
+                 core::runTrace(trace, serial, topts).metrics)
+                if (m.name == "disk.channel_blocks")
+                    blocks = m.value;
+            EXPECT_GT(blocks, 0.0);
+        }
+        expectCleanPdesMatchesSerial(trace, config);
+    }
+}
+
 TEST(PdesExactness, ModuleCountersExactWithEightWorkers)
 {
     if (!telemetry::kCompiledIn)

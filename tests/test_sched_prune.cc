@@ -211,6 +211,8 @@ TEST(SchedPrune, SptfAgedServesColdRequestWithinAgingBound)
 
 TEST(SchedPrune, CrossCheckRunsAndStaysSilent)
 {
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "verify compiled out: no sched cross-check runs";
     // With a checker installed, the indexed schedulers periodically
     // re-derive their pick with the exhaustive reference; a live run
     // must record sched observations and zero violations.

@@ -114,6 +114,8 @@ class VerifyFuzz : public ::testing::TestWithParam<int>
 
 TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
 {
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "verify compiled out: the run feeds no hooks";
     sim::Rng rng(0xFA22 + static_cast<std::uint64_t>(GetParam()));
     const core::SystemConfig config = randomSystem(rng);
 
