@@ -97,7 +97,6 @@ runPhase(const ConfigDef &config, Phase phase,
         prun->run();
     else
         simul.run();
-    arr.sealStats();
 
     PhaseResult out;
     const array::ArrayStats &st = arr.stats();

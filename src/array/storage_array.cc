@@ -416,7 +416,7 @@ StorageArray::submit(const workload::IoRequest &req)
         const std::uint64_t stripe = params_.stripeSectors;
         std::uint64_t lba = req.lba % logicalSectors_;
         std::uint32_t remaining = req.sectors;
-        std::vector<std::pair<std::uint32_t, workload::IoRequest>> subs;
+        SubList subs = std::move(splitScratch_);
         while (remaining > 0) {
             const std::uint64_t stripe_idx = lba / stripe;
             const std::uint64_t in_stripe = lba % stripe;
@@ -449,10 +449,7 @@ StorageArray::submit(const workload::IoRequest &req)
             lba += take;
             remaining -= take;
         }
-        join.remaining = static_cast<std::uint32_t>(subs.size());
-        joins_.emplace(join_id, std::move(join));
-        for (auto &[idx, sub] : subs)
-            submitSub(idx, sub, join_id);
+        issueJoin(join_id, join, std::move(subs));
         return;
       }
       case Layout::Raid5: {
@@ -493,6 +490,17 @@ StorageArray::pickReplica(std::uint32_t a, std::uint32_t b,
 }
 
 void
+StorageArray::issueJoin(std::uint64_t join_id, Join &join, SubList subs)
+{
+    join.remaining = static_cast<std::uint32_t>(subs.size());
+    joins_.emplace(join_id, std::move(join));
+    for (auto &[idx, sub] : subs)
+        submitSub(idx, sub, join_id);
+    subs.clear();
+    splitScratch_ = std::move(subs);
+}
+
+void
 StorageArray::fanOutRaid0(const workload::IoRequest &req,
                           std::uint64_t join_id, Join &join)
 {
@@ -500,7 +508,7 @@ StorageArray::fanOutRaid0(const workload::IoRequest &req,
     const std::uint32_t n = params_.disks;
     std::uint64_t lba = req.lba % logicalSectors_;
     std::uint32_t remaining = req.sectors;
-    std::vector<std::pair<std::uint32_t, workload::IoRequest>> subs;
+    SubList subs = std::move(splitScratch_);
     while (remaining > 0) {
         const std::uint64_t stripe_idx = lba / stripe;
         const std::uint64_t in_stripe = lba % stripe;
@@ -515,10 +523,7 @@ StorageArray::fanOutRaid0(const workload::IoRequest &req,
         lba += take;
         remaining -= take;
     }
-    join.remaining = static_cast<std::uint32_t>(subs.size());
-    joins_.emplace(join_id, std::move(join));
-    for (auto &[idx, sub] : subs)
-        submitSub(idx, sub, join_id);
+    issueJoin(join_id, join, std::move(subs));
 }
 
 void
@@ -531,8 +536,8 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
     std::uint64_t lba = req.lba % logicalSectors_;
     std::uint32_t remaining = req.sectors;
 
-    std::vector<std::pair<std::uint32_t, workload::IoRequest>> now_subs;
-    std::vector<std::pair<std::uint32_t, workload::IoRequest>> deferred;
+    SubList now_subs = std::move(splitScratch_);
+    SubList deferred;
 
     while (remaining > 0) {
         const std::uint64_t stripe_idx = lba / stripe;
@@ -602,11 +607,8 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
         remaining -= take;
     }
 
-    join.remaining = static_cast<std::uint32_t>(now_subs.size());
     join.deferred = std::move(deferred);
-    joins_.emplace(join_id, std::move(join));
-    for (auto &[idx, sub] : now_subs)
-        submitSub(idx, sub, join_id);
+    issueJoin(join_id, join, std::move(now_subs));
 }
 
 void

@@ -127,7 +127,9 @@ struct ArrayStats
     stats::SampleSet responseMs{1u << 20};
     stats::Histogram responseHist = stats::makeResponseHistogram();
     stats::Histogram rotHist = stats::makeRotLatencyHistogram();
-    stats::SampleSet rotMs{1u << 18};
+    /** Rotational wait per healthy media sub-completion, ms; runs
+     *  report its mean (RunResult::meanRotMs). */
+    stats::RunningMean rotMs;
 };
 
 /**
@@ -166,27 +168,23 @@ class StorageArray
     const ArrayStats &stats() const { return stats_; }
     const ArrayParams &params() const { return params_; }
 
-    /** Sort the response/rotation sample sets in place once the run
-     *  has drained, so quantile reads stop paying for copies. */
-    void sealStats()
-    {
-        stats_.responseMs.seal();
-        stats_.rotMs.seal();
-    }
+    /**
+     * End of ingestion. Nothing is left to do: quantiles are selected
+     * when read (SampleSet::quantile), so no sort runs at the end of a
+     * run. Kept so callers that close a run explicitly still build.
+     */
+    void sealStats() {}
 
     /**
-     * Pre-reserve the response/rotation sample buffers to their full
-     * reservoir capacity (~12 MB). Long-lived serving loops pay this
-     * once up front so completion-path ingestion never reallocates in
-     * steady state; batch sweeps skip it (many concurrent short runs
-     * would multiply the fixed cost).
+     * Pre-reserve the response sample buffer to its full reservoir
+     * capacity (8 MB). Long-lived serving loops pay this once up front
+     * so completion-path ingestion never reallocates in steady state;
+     * batch sweeps skip it (many concurrent short runs would multiply
+     * the fixed cost).
      */
     void reserveStatsCapacity()
     {
         stats_.responseMs.reserve(~std::size_t(0));
-        stats_.rotMs.reserve(~std::size_t(0));
-        for (auto &d : disks_)
-            d->reserveStatsCapacity();
     }
 
     /** Logical capacity exposed by the layout, in sectors. */
@@ -281,6 +279,10 @@ class StorageArray
   private:
     friend class RebuildEngine;
 
+    /** Sub-requests of one fan-out, each with its member disk. */
+    using SubList =
+        std::vector<std::pair<std::uint32_t, workload::IoRequest>>;
+
     struct Join
     {
         workload::IoRequest logical;
@@ -289,8 +291,7 @@ class StorageArray
          *  dropped, so the response sample would be fiction. */
         bool tainted = false;
         /** Raid5 RMW: writes to issue once the reads complete. */
-        std::vector<std::pair<std::uint32_t, workload::IoRequest>>
-            deferred;
+        SubList deferred;
     };
 
     sim::Simulator &sim_;
@@ -304,6 +305,10 @@ class StorageArray
     std::uint64_t logicalSectors_ = 0;
     std::uint64_t nextJoinId_ = 1;
     std::unordered_map<std::uint64_t, Join> joins_;
+    /** Fan-out buffer reused across logical requests. A split moves it
+     *  out and issueJoin moves it back, so a nested fan-out (from an
+     *  inline completion) finds it empty and never shares it. */
+    SubList splitScratch_;
     std::uint64_t rrRead_ = 0; // Raid1 tie-break
     std::vector<bool> failed_;
     /** Effective RAID-1 read policy (params + IDP_REPLICA). */
@@ -337,6 +342,9 @@ class StorageArray
                               const workload::IoRequest &sub);
     /** Rebuild finished: bring the reconstructed member back. */
     void completeRebuild(std::uint32_t idx);
+    /** Open @p join over @p subs, submit them, and keep their
+     *  buffer as the next split's scratch. */
+    void issueJoin(std::uint64_t join_id, Join &join, SubList subs);
     void fanOutRaid0(const workload::IoRequest &req,
                      std::uint64_t join_id, Join &join);
     void fanOutRaid5(const workload::IoRequest &req,

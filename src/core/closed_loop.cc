@@ -80,7 +80,6 @@ runClosedLoop(const SystemConfig &config,
     }
     simul.run();
     checker.finalize();
-    responses.seal();
 
     ClosedLoopResult result;
     result.completions = completions;

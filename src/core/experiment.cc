@@ -143,7 +143,6 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
     sim::simAssert(arr.stats().logicalCompletions == trace.size(),
                    "runTrace: lost requests");
     checker.finalize();
-    arr.sealStats();
 
     RunResult result;
     result.system = config.name;

@@ -705,10 +705,6 @@ DiskDrive::submit(const workload::IoRequest &req)
                 ++stats_.completions;
                 ServiceInfo info;
                 info.cacheHit = true;
-                const double ms =
-                    sim::ticksToMs(done - copy.arrival);
-                stats_.responseMs.add(ms);
-                stats_.responseHist.add(ms);
                 verify::onDiskComplete(telemetryId_, copy.id, done,
                                        controllerTicks_);
                 if (onComplete_)
@@ -730,10 +726,6 @@ DiskDrive::submit(const workload::IoRequest &req)
                 ++stats_.completions;
                 ServiceInfo info;
                 info.cacheHit = true;
-                const double ms =
-                    sim::ticksToMs(done - copy.arrival);
-                stats_.responseMs.add(ms);
-                stats_.responseHist.add(ms);
                 verify::onDiskComplete(telemetryId_, copy.id, done,
                                        controllerTicks_);
                 if (onComplete_)
@@ -1255,13 +1247,7 @@ DiskDrive::completeActive(std::uint64_t id)
             ++stats_.completions;
             if (req.background)
                 ++stats_.backgroundCompletions;
-            const double resp_ms = sim::ticksToMs(now - req.arrival);
-            stats_.responseMs.add(resp_ms);
-            stats_.responseHist.add(resp_ms);
-            stats_.seekMs.add(sim::ticksToMs(active.seekTicks));
-            const double rot_ms = sim::ticksToMs(active.rotTicks);
-            stats_.rotMs.add(rot_ms);
-            stats_.rotHist.add(rot_ms);
+            stats_.rotMs.add(sim::ticksToMs(active.rotTicks));
             verify::onDiskComplete(telemetryId_, req.id, now,
                                    controllerTicks_);
             if (onComplete_)

@@ -50,7 +50,6 @@
 #include "sched/scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "stats/histogram.hh"
 #include "stats/mode_tracker.hh"
 #include "stats/sampler.hh"
 #include "telemetry/telemetry.hh"
@@ -97,11 +96,9 @@ struct DriveStats
     std::uint64_t armParks = 0;          ///< actuator park events
     std::uint64_t armUnparks = 0;
 
-    stats::SampleSet responseMs{1u << 20};
-    stats::SampleSet seekMs{1u << 18};
-    stats::SampleSet rotMs{1u << 18};
-    stats::Histogram responseHist = stats::makeResponseHistogram();
-    stats::Histogram rotHist = stats::makeRotLatencyHistogram();
+    /** Rotational wait of each media completion, ms (only averaged:
+     *  the validation and oracle checks compare its mean). */
+    stats::RunningMean rotMs;
 
     /** Per-arm media-access counts (scheduling balance). */
     std::vector<std::uint64_t> armAccesses;
@@ -235,19 +232,6 @@ class DiskDrive
 
     /** Snapshot of mode accounting without closing. */
     stats::ModeTimes modeTimesSnapshot() const;
-
-    /**
-     * Pre-reserve the per-drive sample buffers to their reservoir
-     * capacity so completion-path ingestion never reallocates in
-     * steady state (long-lived serving loops, rebuild benches).
-     */
-    void
-    reserveStatsCapacity()
-    {
-        stats_.responseMs.reserve(~std::size_t(0));
-        stats_.seekMs.reserve(~std::size_t(0));
-        stats_.rotMs.reserve(~std::size_t(0));
-    }
 
     const DriveStats &stats() const { return stats_; }
     const DriveSpec &spec() const { return spec_; }

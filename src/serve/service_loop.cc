@@ -11,6 +11,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "stats/sampler.hh"
 #include "stats/table.hh"
 #include "telemetry/registry.hh"
 #include "verify/verify.hh"
@@ -392,19 +393,6 @@ stopServing(Ctx &c)
     takeSnapshot(c); // final row, at exactly endTick
 }
 
-double
-medianOf(std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const double pos = 0.5 * static_cast<double>(v.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
 void
 validateParams(const ServeParams &p)
 {
@@ -579,7 +567,6 @@ runService(const core::SystemConfig &config, const ServeParams &params)
 
     simul.run();
     checker.finalize();
-    arr.sealStats();
 
     ServeResult result;
     result.system = config.name;
@@ -593,7 +580,9 @@ runService(const core::SystemConfig &config, const ServeParams &params)
         if (snap.simSeconds > params.warmupSeconds)
             steady.push_back(snap.p99Ms);
     result.steadyP99Ms =
-        steady.empty() ? result.p99Ms : medianOf(steady);
+        steady.empty() ? result.p99Ms
+                       : stats::selectQuantile(steady.data(),
+                                               steady.size(), 0.5);
     result.sloMet = ctx.totals.completions > 0 &&
         result.steadyP99Ms <= params.slo.p99TargetMs;
     result.denyFraction = ctx.totals.arrivals > 0

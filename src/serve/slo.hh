@@ -10,9 +10,9 @@
  * two agree exactly on identical sample sets (pinned by tests).
  *
  * All storage is allocated at construction: record() writes one slot,
- * quantile() sorts a pre-sized scratch copy. Nothing allocates after
- * construction, which the serving loop's zero-steady-state-allocation
- * budget depends on.
+ * quantile() selects on a pre-sized scratch copy. Nothing allocates
+ * after construction, which the serving loop's zero-steady-state-
+ * allocation budget depends on.
  */
 
 #ifndef IDP_SERVE_SLO_HH
@@ -49,14 +49,14 @@ class SloWindow
 
     /**
      * Interpolated quantile over the current window contents (0 when
-     * empty). Sorts a pre-sized scratch buffer; O(W log W), no
+     * empty). Selects on a pre-sized scratch buffer; O(W), no
      * allocation.
      */
     double quantile(double q) const;
 
     /**
-     * Both working quantiles in one sort of the scratch buffer (the
-     * snapshot path wants p50 and p99 together).
+     * Both working quantiles from one copy into the scratch buffer
+     * (the snapshot path wants p50 and p99 together).
      */
     void quantiles(double &p50, double &p99) const;
 
@@ -64,7 +64,7 @@ class SloWindow
     void clear();
 
   private:
-    /** Sort scratch_ from the ring contents; returns sample count. */
+    /** Copy the ring contents into scratch_; returns sample count. */
     std::size_t fillScratch() const;
 
     std::vector<double> ring_;

@@ -28,15 +28,12 @@ SampleSet::add(double x)
     sumSq_ += x * x;
     if (samples_.size() < capacity_) {
         samples_.push_back(x);
-        sorted_ = false;
     } else {
         // Vitter's algorithm R: replace a random slot with probability
         // capacity / count so retained samples stay uniform.
         const std::uint64_t j = rng_.uniformInt(count_);
-        if (j < capacity_) {
+        if (j < capacity_)
             samples_[static_cast<std::size_t>(j)] = x;
-            sorted_ = false;
-        }
     }
 }
 
@@ -46,35 +43,26 @@ SampleSet::reserve(std::size_t n)
     samples_.reserve(std::min(n, capacity_));
 }
 
-void
-SampleSet::seal()
-{
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-}
-
 double
 SampleSet::mean() const
 {
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-namespace {
-
-/** Linear-interpolated order statistic of a sorted vector. */
 double
-sortedQuantile(const std::vector<double> &sorted, double q)
+selectQuantile(double *first, std::size_t n, double q)
 {
-    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const double pos = q * static_cast<double>(n - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    // After the selection everything past lo is >= sorted[lo], so the
+    // next order statistic is the minimum of that tail.
+    std::nth_element(first, first + lo, first + n);
+    const double at_lo = first[lo];
+    const double at_hi =
+        lo + 1 < n ? *std::min_element(first + lo + 1, first + n) : at_lo;
+    return at_lo * (1.0 - frac) + at_hi * frac;
 }
-
-} // namespace
 
 double
 SampleSet::quantile(double q) const
@@ -84,13 +72,9 @@ SampleSet::quantile(double q) const
         return 0.0;
     // A const read must not mutate: concurrent snapshot readers (the
     // sweep UI, telemetry exporters) may call this while other threads
-    // read too. Sealed sets answer in place; unsealed ones pay for a
-    // local sorted copy instead of sorting shared state.
-    if (sorted_)
-        return sortedQuantile(samples_, q);
-    std::vector<double> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
-    return sortedQuantile(sorted, q);
+    // read too, so select on a local copy, never the shared buffer.
+    std::vector<double> scratch(samples_);
+    return selectQuantile(scratch.data(), scratch.size(), q);
 }
 
 double
@@ -107,7 +91,6 @@ void
 SampleSet::clear()
 {
     samples_.clear();
-    sorted_ = true;
     count_ = 0;
     sum_ = sumSq_ = 0.0;
     min_ = max_ = 0.0;

@@ -1,11 +1,14 @@
 /**
  * @file
- * Exact-percentile sample collector with reservoir fallback.
+ * Exact-percentile sample collector with reservoir fallback, and a
+ * running mean for statistics that are only ever averaged.
  *
  * Figure 8 reports 90th-percentile response times; the limit study
  * quotes means. SampleSet keeps every sample up to a cap and switches
  * to uniform reservoir sampling beyond it so percentiles stay accurate
- * without unbounded memory on multi-million-request runs.
+ * without unbounded memory on multi-million-request runs. A statistic
+ * that is only ever averaged is a RunningMean instead: a count and a
+ * sum, no buffer.
  */
 
 #ifndef IDP_STATS_SAMPLER_HH
@@ -20,14 +23,24 @@ namespace idp {
 namespace stats {
 
 /**
+ * Linear-interpolated order statistic q in [0, 1] of the n > 0 values
+ * at @p first: sorted[lo] * (1 - frac) + sorted[min(lo + 1, n - 1)] *
+ * frac with pos = q * (n - 1), lo = floor(pos), frac = pos - lo —
+ * exactly the double a full sort would give. Found by selection in
+ * O(n); it reorders the range, so callers pass scratch, never shared
+ * state.
+ */
+double selectQuantile(double *first, std::size_t n, double q);
+
+/**
  * Collects scalar samples; computes exact order statistics on demand.
  *
- * Thread model: add() and seal() mutate and need external
- * serialization, as usual; every const accessor (including
- * quantile()) is safe to call from concurrent readers. quantile() on
- * an unsealed set sorts a local copy rather than the shared buffer —
- * call seal() once ingestion is done to sort in place and make
- * subsequent quantile() calls copy-free.
+ * Thread model: add() mutates and needs external serialization, as
+ * usual; every const accessor (including quantile()) is safe to call
+ * from concurrent readers. Nothing is sorted on ingestion or at the
+ * end of a run: each quantile() selects on a local copy of the
+ * retained samples, so a run pays O(n) per order statistic it reads
+ * and nothing for the ones it does not.
  */
 class SampleSet
 {
@@ -51,9 +64,6 @@ class SampleSet
      * memory proportional to actual sample counts.
      */
     void reserve(std::size_t n);
-
-    /** Sort the retained samples in place (after ingestion ends). */
-    void seal();
 
     /** Number of samples *offered* (not necessarily retained). */
     std::uint64_t count() const { return count_; }
@@ -88,13 +98,40 @@ class SampleSet
   private:
     std::size_t capacity_;
     std::vector<double> samples_;
-    mutable bool sorted_ = true;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double sumSq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
     sim::Rng rng_;
+};
+
+/**
+ * Count and mean of a stream, for statistics whose readers only
+ * average them. Sums in arrival order like SampleSet, so mean() is
+ * bit-identical to SampleSet::mean() over the same values.
+ */
+class RunningMean
+{
+  public:
+    void
+    add(double x)
+    {
+        ++count_;
+        sum_ += x;
+    }
+
+    std::uint64_t count() const { return count_; }
+
+    double
+    mean() const
+    {
+        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    }
+
+  private:
+    std::uint64_t count_ = 0;
+    double sum_ = 0.0;
 };
 
 } // namespace stats

@@ -49,8 +49,8 @@ InvariantChecker::fail(const std::string &what)
 void
 InvariantChecker::reserveDomains(std::uint32_t domains)
 {
-    if (domains > kernelNow_.size())
-        kernelNow_.resize(domains, 0);
+    if (domains > kernelDomains_.size())
+        kernelDomains_.resize(domains);
 }
 
 void
@@ -85,7 +85,6 @@ void
 InvariantChecker::checkKernelTime(std::uint32_t domain, sim::Tick now,
                                   sim::Tick when)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
     if (when < now) {
         std::ostringstream os;
         os << "event kernel: firing at " << when
@@ -95,9 +94,11 @@ InvariantChecker::checkKernelTime(std::uint32_t domain, sim::Tick now,
     // Serial runs grow the table lazily (single-threaded); PDES runs
     // pre-size it with reserveDomains before workers start, and each
     // calendar's domain is written only from the thread running it.
-    if (domain >= kernelNow_.size())
-        kernelNow_.resize(domain + 1, 0);
-    sim::Tick &domain_now = kernelNow_[domain];
+    if (domain >= kernelDomains_.size())
+        kernelDomains_.resize(domain + 1);
+    KernelDomain &kd = kernelDomains_[domain];
+    ++kd.observations;
+    sim::Tick &domain_now = kd.now;
     if (when < domain_now) {
         std::ostringstream os;
         os << "event kernel: time ran backwards in domain " << domain
@@ -111,7 +112,7 @@ void
 InvariantChecker::diskSubmit(std::uint32_t dev, std::uint64_t id,
                              sim::Tick arrival, sim::Tick now)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++disk(dev).observations;
     touch(dev, now);
     if (arrival > now) {
         std::ostringstream os;
@@ -133,9 +134,9 @@ void
 InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
                                sim::Tick done, sim::Tick min_service)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    touch(dev, done);
     DiskState &d = disk(dev);
+    ++d.observations;
+    touch(dev, done);
     OutstandingEntry *e = d.outstanding.find(id);
     if (e == nullptr || e->count == 0) {
         std::ostringstream os;
@@ -161,7 +162,7 @@ InvariantChecker::checkPositioningBound(std::uint32_t dev,
                                         sim::Tick lower_bound,
                                         sim::Tick exact)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++disk(dev).observations;
     if (lower_bound <= exact) [[likely]]
         return;
     std::ostringstream os;
@@ -175,7 +176,7 @@ void
 InvariantChecker::checkServiceBound(std::uint32_t dev, sim::Tick floor,
                                     sim::Tick done)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++disk(dev).observations;
     if (floor <= done) [[likely]]
         return;
     std::ostringstream os;
@@ -192,7 +193,7 @@ InvariantChecker::checkSchedChoice(const char *policy,
                                    std::uint32_t want_slot,
                                    std::uint32_t want_arm)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    schedObservations_.fetch_add(1, std::memory_order_relaxed);
     if (got_slot == want_slot && got_arm == want_arm)
         return;
     std::ostringstream os;
@@ -211,7 +212,7 @@ InvariantChecker::checkDiskOccupancy(
     std::uint32_t max_seeks, std::uint32_t active_transfers,
     std::uint32_t max_transfers)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++disk(dev).observations;
     // Hot path: every dispatch and completion passes through here, so
     // the all-clear case must not touch streams or the heap.
     if (in_flight == busy_arms && busy_arms <= total_arms &&
@@ -245,7 +246,7 @@ void
 InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
                              sim::Tick now)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     if (arrival > now) {
         std::ostringstream os;
         os << "array: join " << join_id
@@ -268,7 +269,7 @@ InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
 void
 InvariantChecker::arraySub(std::uint64_t join_id)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     JoinState *join = joins_.find(join_id);
     if (join == nullptr || join->joined) {
         std::ostringstream os;
@@ -284,7 +285,7 @@ InvariantChecker::arraySub(std::uint64_t join_id)
 void
 InvariantChecker::arraySubFinish(std::uint64_t join_id, sim::Tick done)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     (void)done;
     JoinState *join = joins_.find(join_id);
     if (join == nullptr || join->outstanding == 0) {
@@ -301,7 +302,7 @@ void
 InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
                             sim::Tick done)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     JoinState *join = joins_.find(join_id);
     if (join == nullptr || join->joined) {
         std::ostringstream os;
@@ -332,7 +333,7 @@ InvariantChecker::arraySubRange(std::uint32_t dev, std::uint64_t lba,
                                 std::uint32_t sectors,
                                 std::uint64_t disk_sectors)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     std::ostringstream os;
     os << "array: sub-request [" << lba << ", " << lba + sectors
        << ") for disk " << dev << " lies beyond the member's "
@@ -346,7 +347,7 @@ InvariantChecker::checkModeAccounting(std::uint32_t dev,
                                       const stats::ModeTimes &seg_sum,
                                       std::uint32_t arms)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++disk(dev).observations;
     sim::Tick wall_sum = 0;
     for (sim::Tick w : total.wall)
         wall_sum += w;
@@ -393,7 +394,7 @@ InvariantChecker::checkModeAccounting(std::uint32_t dev,
 void
 InvariantChecker::rebuildChunk(std::uint64_t chunk)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     auto [it, inserted] = rebuildWrites_.emplace(chunk, 0u);
     (void)it;
     if (!inserted) {
@@ -408,7 +409,7 @@ InvariantChecker::rebuildChunk(std::uint64_t chunk)
 void
 InvariantChecker::rebuildSpareWrite(std::uint64_t chunk)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++arrayObservations_;
     auto it = rebuildWrites_.find(chunk);
     if (it == rebuildWrites_.end()) {
         std::ostringstream os;
@@ -424,6 +425,18 @@ InvariantChecker::rebuildSpareWrite(std::uint64_t chunk)
         return;
     }
     ++rebuildSpareWrites_;
+}
+
+std::uint64_t
+InvariantChecker::observations() const
+{
+    std::uint64_t n = arrayObservations_ +
+        schedObservations_.load(std::memory_order_relaxed);
+    for (const DiskState &d : disks_)
+        n += d.observations;
+    for (const KernelDomain &kd : kernelDomains_)
+        n += kd.observations;
+    return n;
 }
 
 void

@@ -151,11 +151,9 @@ class InvariantChecker
         return violations_;
     }
 
-    /** Hook invocations observed (cheap liveness probe for tests). */
-    std::uint64_t observations() const
-    {
-        return observations_.load(std::memory_order_relaxed);
-    }
+    /** Hook invocations observed (cheap liveness probe for tests).
+     *  Sums the owner-local counts; call once the run has stopped. */
+    std::uint64_t observations() const;
 
   private:
     struct OutstandingEntry
@@ -173,7 +171,16 @@ class InvariantChecker
         IdTable<OutstandingEntry> outstanding;
         std::uint64_t submits = 0;
         std::uint64_t completions = 0;
+        /** Disk-hook invocations for this drive. */
+        std::uint64_t observations = 0;
         sim::Tick lastSeen = 0;
+    };
+
+    /** One event-kernel domain's clock and its hook count. */
+    struct KernelDomain
+    {
+        sim::Tick now = 0;
+        std::uint64_t observations = 0;
     };
 
     struct JoinState
@@ -192,9 +199,19 @@ class InvariantChecker
      *  record concurrently. Panic mode dies on first fail instead. */
     std::mutex failMutex_;
     std::vector<std::string> violations_;
-    /** Relaxed atomic: exactness (not racy approximation) with
-     *  concurrent PDES workers is asserted by tests/test_pdes.cc. */
-    std::atomic<std::uint64_t> observations_{0};
+    /**
+     * Hook counts live beside the state each hook's owner already
+     * writes: per drive in DiskState, per kernel domain in
+     * KernelDomain, and arrayObservations_ for the array and rebuild
+     * hooks, which run only on the coordinator or array phase. No
+     * counter is shared between PDES workers, so none needs a locked
+     * add. Only checkSchedChoice has no owner (no dev); it runs in the
+     * exhaustive oracle alone, so its relaxed atomic costs nothing on
+     * the run path. Exact totals at any worker count are asserted by
+     * tests/test_pdes.cc.
+     */
+    std::uint64_t arrayObservations_ = 0;
+    std::atomic<std::uint64_t> schedObservations_{0};
     /** Indexed by dev (DiskDrive::telemetryId — dense array indices);
      *  grown on first touch serially, pre-sized by reserveDisks for
      *  PDES. Each drive's state is only touched from the calendar
@@ -208,7 +225,7 @@ class InvariantChecker
     std::uint64_t rebuildChunks_ = 0;
     std::uint64_t rebuildSpareWrites_ = 0;
     /** Per-domain kernel clocks (see checkKernelTime). */
-    std::vector<sim::Tick> kernelNow_;
+    std::vector<KernelDomain> kernelDomains_;
 };
 
 /** Installs a checker as this thread's current one (RAII). */

@@ -296,7 +296,6 @@ runFailureScenario(const std::string &name, int pdes_workers = 0)
         prun->run();
     else
         simul.run();
-    arr.sealStats();
 
     const array::ArrayStats &st = arr.stats();
     std::ostringstream os;

@@ -297,8 +297,9 @@ TEST(PdesExactness, CheckerAccountingIsExactAcrossWorkerCounts)
     const core::SystemConfig config = raid0NoBus(4);
 
     // The checker's observation count is a hook-invocation total fed
-    // from every worker thread: any lost update at 8 workers would
-    // break equality with the 1-worker run of the same schedule.
+    // from every worker thread, each drive into its own counter: a
+    // lost or misattributed update at 8 workers would break equality
+    // with the 1-worker run of the same schedule.
     std::uint64_t observed[2] = {0, 0};
     const int workers[2] = {1, 8};
     for (int i = 0; i < 2; ++i) {

@@ -205,17 +205,32 @@ TEST(ServeSloWindow, MatchesExactReferenceBeforeWrap)
 
 TEST(ServeSloWindow, AgreesWithSampleSetQuantiles)
 {
-    serve::SloWindow window(512);
-    stats::SampleSet set(512);
-    sim::Rng rng(11);
-    for (int i = 0; i < 400; ++i) {
-        const double ms = rng.exponential(8.0);
-        window.record(ms);
-        set.add(ms);
+    // Both select with the same formula, so on the same samples they
+    // agree to the bit: a window part filled with distinct latencies,
+    // and one part filled with heavy duplicates (latencies quantized to
+    // a few levels, so order statistics tie with their neighbours).
+    for (int levels : {0, 4}) {
+        serve::SloWindow window(512);
+        stats::SampleSet set(512);
+        sim::Rng rng(11);
+        for (int i = 0; i < 400; ++i) {
+            const double ms = levels == 0
+                ? rng.exponential(8.0)
+                : 2.5 * static_cast<double>(rng.uniformInt(
+                      static_cast<std::uint64_t>(levels)));
+            window.record(ms);
+            set.add(ms);
+        }
+        ASSERT_EQ(window.size(), 400u);
+        for (double q : {0.0, 0.5, 0.9, 0.99, 1.0})
+            EXPECT_EQ(window.quantile(q), set.quantile(q))
+                << "levels=" << levels << " q=" << q;
+        double p50 = -1.0;
+        double p99 = -1.0;
+        window.quantiles(p50, p99);
+        EXPECT_EQ(p50, set.quantile(0.5)) << "levels=" << levels;
+        EXPECT_EQ(p99, set.p99()) << "levels=" << levels;
     }
-    set.seal();
-    EXPECT_DOUBLE_EQ(window.quantile(0.90), set.p90());
-    EXPECT_DOUBLE_EQ(window.quantile(0.99), set.p99());
 }
 
 TEST(ServeSloWindow, SlidesOverTheLastWSamples)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Property tests for the statistics layer the verification harness
- * (and every figure) leans on: SampleSet::quantile against an exact
- * sorted reference, Histogram::quantile/cdfSeries sanity under
- * degenerate inputs, reservoir uniformity of algorithm R, and
+ * (and every figure) leans on: SampleSet::quantile's selection against
+ * an exact sorted reference, RunningMean against SampleSet::mean,
+ * Histogram::quantile/cdfSeries sanity under degenerate inputs,
+ * reservoir uniformity of algorithm R, and
  * thread-safety of concurrent const reads (run under TSan in CI).
  */
 
@@ -43,6 +44,8 @@ referenceQuantile(std::vector<double> v, double q)
 
 TEST(SampleSetQuantile, MatchesSortedReferenceBelowCapacity)
 {
+    // Selection must give exactly the double a full sort gives, so
+    // every comparison here is EXPECT_EQ, not a tolerance.
     sim::Rng rng(0x5A11);
     for (int round = 0; round < 20; ++round) {
         const std::size_t n = 1 + rng.uniformInt(200ULL);
@@ -54,8 +57,61 @@ TEST(SampleSetQuantile, MatchesSortedReferenceBelowCapacity)
             raw.push_back(x);
         }
         for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0})
-            EXPECT_DOUBLE_EQ(s.quantile(q), referenceQuantile(raw, q))
+            EXPECT_EQ(s.quantile(q), referenceQuantile(raw, q))
                 << "n=" << n << " q=" << q;
+    }
+
+    // Fixed sizes, from a single sample to a few thousand, with
+    // distinct values and with heavy duplicates (a handful of levels,
+    // as quantized latencies produce): the order statistic and its
+    // upper neighbour must both come out right when they tie.
+    for (std::size_t n : {1u, 2u, 3u, 17u, 4096u}) {
+        for (int levels : {0, 3}) {
+            SampleSet s;
+            std::vector<double> raw;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double x = levels == 0
+                    ? rng.uniform(0.0, 100.0)
+                    : static_cast<double>(
+                          rng.uniformInt(static_cast<std::uint64_t>(
+                              levels))) * 0.5;
+                s.add(x);
+                raw.push_back(x);
+            }
+            for (double q : {0.0, 0.5, 0.9, 0.99, 1.0})
+                EXPECT_EQ(s.quantile(q), referenceQuantile(raw, q))
+                    << "n=" << n << " levels=" << levels
+                    << " q=" << q;
+        }
+    }
+
+    // Reservoir mode: past capacity the set answers over the samples
+    // algorithm R retained. Replaying algorithm R with the same seed
+    // recovers that retained set for the reference.
+    const std::size_t capacity = 257;
+    const std::uint64_t seed = 0xBEEF;
+    for (int levels : {0, 5}) {
+        SampleSet s(capacity, seed);
+        sim::Rng replay(seed);
+        std::vector<double> kept;
+        for (std::uint64_t count = 1; count <= 5000; ++count) {
+            const double x = levels == 0
+                ? rng.uniform(0.0, 100.0)
+                : static_cast<double>(rng.uniformInt(
+                      static_cast<std::uint64_t>(levels)));
+            s.add(x);
+            if (kept.size() < capacity) {
+                kept.push_back(x);
+            } else {
+                const std::uint64_t j = replay.uniformInt(count);
+                if (j < capacity)
+                    kept[static_cast<std::size_t>(j)] = x;
+            }
+        }
+        ASSERT_EQ(s.count(), 5000u);
+        for (double q : {0.0, 0.5, 0.9, 0.99, 1.0})
+            EXPECT_EQ(s.quantile(q), referenceQuantile(kept, q))
+                << "reservoir levels=" << levels << " q=" << q;
     }
 }
 
@@ -79,8 +135,11 @@ TEST(SampleSetQuantile, DegenerateInputs)
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 3.0);
 }
 
-TEST(SampleSetQuantile, SealDoesNotChangeAnswers)
+TEST(SampleSetQuantile, ReadsDoNotChangeAnswers)
 {
+    // quantile() selects on a copy: reading one order statistic must
+    // not disturb the next read, in any order, and ingestion may go on
+    // after a read.
     sim::Rng rng(0x5EA1);
     SampleSet s;
     std::vector<double> raw;
@@ -90,19 +149,20 @@ TEST(SampleSetQuantile, SealDoesNotChangeAnswers)
         raw.push_back(x);
     }
     const double before = s.quantile(0.9);
-    s.seal();
-    EXPECT_DOUBLE_EQ(s.quantile(0.9), before);
-    EXPECT_DOUBLE_EQ(s.quantile(0.9), referenceQuantile(raw, 0.9));
-    // Adding after seal still works.
+    EXPECT_EQ(s.quantile(0.1), referenceQuantile(raw, 0.1));
+    EXPECT_EQ(s.quantile(0.99), referenceQuantile(raw, 0.99));
+    EXPECT_EQ(s.quantile(0.9), before);
+    EXPECT_EQ(s.quantile(0.9), referenceQuantile(raw, 0.9));
+    // Adding after a read still works.
     s.add(2.0);
-    EXPECT_DOUBLE_EQ(s.quantile(1.0), 2.0);
+    EXPECT_EQ(s.quantile(1.0), 2.0);
 }
 
 TEST(SampleSetQuantile, ConcurrentConstReadsAreSafe)
 {
     // Regression for a const_cast sort inside the const quantile():
-    // two threads reading the same unsealed set raced on the sample
-    // buffer. Run under TSan this test pins the fix.
+    // two threads reading the same set raced on the sample buffer.
+    // Run under TSan this test pins the fix.
     SampleSet s;
     sim::Rng rng(0xC0C0);
     for (int i = 0; i < 20000; ++i)
@@ -123,6 +183,28 @@ TEST(SampleSetQuantile, ConcurrentConstReadsAreSafe)
     for (auto &t : readers)
         t.join();
     EXPECT_FALSE(mismatch.load());
+}
+
+TEST(RunningMean, MeanMatchesSampleSetBitForBit)
+{
+    // Drive and array rotation stats keep only a running mean; it must
+    // reproduce SampleSet::mean() exactly, so reported means do not
+    // move by an ulp.
+    sim::Rng rng(0x3EA7);
+    stats::RunningMean m;
+    SampleSet s(64); // small capacity: reservoir mode must not matter
+    EXPECT_EQ(m.count(), 0u);
+    EXPECT_EQ(m.mean(), 0.0);
+    for (int i = 0; i < 10000; ++i) {
+        const double x = rng.exponential(4.17);
+        m.add(x);
+        s.add(x);
+        if (i % 997 == 0) {
+            EXPECT_EQ(m.mean(), s.mean()) << "after " << i + 1;
+        }
+    }
+    EXPECT_EQ(m.count(), s.count());
+    EXPECT_EQ(m.mean(), s.mean());
 }
 
 // ---------------------------------------------------------------
@@ -149,7 +231,6 @@ TEST(SampleSetReservoir, AlgorithmRIsUniform)
                         static_cast<std::uint64_t>(t));
         for (int i = 0; i < n; ++i)
             s.add(static_cast<double>(i));
-        s.seal();
         for (std::size_t k = 0; k < capacity; ++k) {
             const double v = s.quantile(
                 static_cast<double>(k) /
