@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "array/storage_array.hh"
 #include "sim/logging.hh"
@@ -20,7 +21,7 @@ withEnvOverrides(RebuildParams params)
 {
     if (const char *env = std::getenv("IDP_REBUILD_CHUNK")) {
         const long long v = std::atoll(env);
-        if (v > 0)
+        if (v > 0 && v <= std::numeric_limits<std::uint32_t>::max())
             params.chunkSectors = static_cast<std::uint32_t>(v);
     }
     if (const char *env = std::getenv("IDP_REBUILD_MBPS")) {

@@ -117,9 +117,6 @@ class RebuildEngine
     /** Kick off the sweep at the current simulated time. */
     void start();
 
-    /** The member index being reconstructed. */
-    std::uint32_t spareIndex() const { return spareIdx_; }
-
     /** True once the spare holds the full image. */
     bool done() const { return progress_.done; }
 

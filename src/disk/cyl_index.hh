@@ -59,10 +59,6 @@ class CylinderBuckets
     {
         return slot < cyl_.size() && cyl_[slot] != kNil;
     }
-    std::uint32_t cylinderOf(std::uint32_t slot) const
-    {
-        return cyl_[slot];
-    }
 
     /** Bucket holding @p cylinder. */
     std::uint32_t

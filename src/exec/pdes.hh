@@ -170,8 +170,6 @@ class PdesRun final : public array::ArrayBridge
         return horizonHist_;
     }
 
-    unsigned workerCount() const { return workers_; }
-
     /** Kernel gauges summed over every calendar. */
     std::uint64_t eventsFired() const;
     std::uint64_t eventsCancelled() const;

@@ -47,11 +47,6 @@ class ThreadPool
     /** Block until every submitted task has finished running. */
     void wait();
 
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /** std::thread::hardware_concurrency(), never less than 1. */
     static unsigned hardwareThreads();
 

@@ -1,6 +1,7 @@
 #include "serve/service_loop.hh"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -628,9 +629,12 @@ applyServeEnv(ServeParams params)
         "IDP_SERVE_SLO_P99_MS", params.slo.p99TargetMs);
     params.snapshotPeriodMs = core::envOverrideDouble(
         "IDP_SERVE_SNAPSHOT_MS", params.snapshotPeriodMs);
-    params.admission.maxInFlight =
-        static_cast<std::uint32_t>(core::envOverrideU64(
-            "IDP_SERVE_MAX_INFLIGHT", params.admission.maxInFlight));
+    // 0 means "no cap", so a value the field cannot hold keeps the
+    // default rather than wrapping.
+    const std::uint64_t cap = core::envOverrideU64(
+        "IDP_SERVE_MAX_INFLIGHT", params.admission.maxInFlight);
+    if (cap <= std::numeric_limits<std::uint32_t>::max())
+        params.admission.maxInFlight = static_cast<std::uint32_t>(cap);
     return params;
 }
 

@@ -146,11 +146,6 @@ class ModeTracker
     /** Current wall-clock mode. */
     DiskMode currentMode() const;
 
-    /** Currently active counts (used by invariants/tests). */
-    int activeSeeks() const { return seeks_; }
-    int activeTransfers() const { return transfers_; }
-    int activeRequests() const { return inflight_; }
-
   private:
     sim::Tick lastChange_ = 0;
     int seeks_ = 0;

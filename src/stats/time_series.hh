@@ -46,8 +46,6 @@ class TimeSeries
         return static_cast<sim::Tick>(w) * windowTicks_;
     }
 
-    sim::Tick windowTicks() const { return windowTicks_; }
-
     /** Mean trajectory over all windows (0 for empty windows). */
     std::vector<double> meanSeries() const;
 

@@ -246,6 +246,25 @@ TEST(Rebuild, Raid1CopiesMirrorAndRestoresMember)
     EXPECT_EQ(h.arr.diskAt(0).stats().arrivals, chunks);
 }
 
+TEST(Rebuild, EnvChunkBeyondTheFieldKeepsTheParam)
+{
+    const auto chunks_total = [](const char *env_chunk) {
+        ::setenv("IDP_REBUILD_CHUNK", env_chunk, 1);
+        Harness h(raid1());
+        h.arr.failDisk(0);
+        RebuildParams rp;
+        rp.chunkSectors = 65536;
+        h.arr.startRebuild(0, rp);
+        ::unsetenv("IDP_REBUILD_CHUNK");
+        return h.arr.rebuild()->progress().chunksTotal;
+    };
+    Harness h(raid1());
+    const std::uint64_t sectors = h.arr.logicalSectors();
+    EXPECT_EQ(chunks_total("131072"), (sectors + 131071) / 131072);
+    // 2^32 + 1 would truncate to 1-sector chunks.
+    EXPECT_EQ(chunks_total("4294967297"), (sectors + 65535) / 65536);
+}
+
 TEST(Rebuild, Raid5ReadsEverySurvivorPerChunk)
 {
     Harness h(raid5(4));

@@ -613,6 +613,18 @@ TEST(ServeEnv, OverridesApplyAndMalformedValuesAreIgnored)
     EXPECT_DOUBLE_EQ(p.durationSeconds, base.durationSeconds);
 }
 
+TEST(ServeEnv, MaxInFlightBeyondTheFieldKeepsTheCap)
+{
+    serve::ServeParams base;
+    ::setenv("IDP_SERVE_MAX_INFLIGHT", "1000", 1);
+    EXPECT_EQ(serve::applyServeEnv(base).admission.maxInFlight, 1000u);
+    // 2^32 would wrap to 0, which means "no cap".
+    ::setenv("IDP_SERVE_MAX_INFLIGHT", "4294967296", 1);
+    EXPECT_EQ(serve::applyServeEnv(base).admission.maxInFlight,
+              base.admission.maxInFlight);
+    ::unsetenv("IDP_SERVE_MAX_INFLIGHT");
+}
+
 // ---------------------------------------------------------------
 // Determinism: golden serving snapshot + thread invariance
 // ---------------------------------------------------------------

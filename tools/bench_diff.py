@@ -20,15 +20,27 @@ import json
 import sys
 
 
+class ReportError(Exception):
+    """A file that is not a well-formed idp-bench-v1 report."""
+
+
 def load(path):
+    """Return (bench, {name: (value, unit)}) of an idp-bench-v1 report.
+
+    Raises ReportError unless the schema tag matches and every metric
+    is exactly a {"name", "value", "unit"} triple with a numeric value.
+    """
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") != "idp-bench-v1":
-        sys.exit(f"{path}: not an idp-bench-v1 report "
-                 f"(schema={doc.get('schema')!r})")
+        raise ReportError(f"{path}: not an idp-bench-v1 report "
+                          f"(schema={doc.get('schema')!r})")
     metrics = {}
     for m in doc.get("metrics", []):
-        metrics[m["name"]] = (float(m["value"]), m.get("unit", ""))
+        if (set(m) != {"name", "value", "unit"}
+                or not isinstance(m["value"], (int, float))):
+            raise ReportError(f"{path}: malformed metric {m!r}")
+        metrics[m["name"]] = (float(m["value"]), m["unit"])
     return doc.get("bench", "?"), metrics
 
 
@@ -52,8 +64,11 @@ def main():
                          "the old one had")
     args = ap.parse_args()
 
-    old_bench, old = load(args.old)
-    new_bench, new = load(args.new)
+    try:
+        old_bench, old = load(args.old)
+        new_bench, new = load(args.new)
+    except ReportError as e:
+        sys.exit(str(e))
     if old_bench != new_bench:
         print(f"note: comparing different benches "
               f"({old_bench!r} vs {new_bench!r})")

@@ -16,6 +16,10 @@
 # are bit-identical at any thread count. IDP_TRACE / IDP_TRACE_SAMPLE
 # / IDP_LOG are likewise inherited by the benches, so
 # `IDP_TRACE=1 tools/run_all.sh --filter fig4` produces traced runs.
+#
+# Every BENCH_*.json report the benches refresh is then checked against
+# the gate table in tools/bench_check.py, the same gates CI applies; the
+# script exits non-zero if any gate fails.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -55,6 +59,8 @@ env -u IDP_TRACE -u IDP_TRACE_SAMPLE -u IDP_LOG \
 [ -n "$2" ] && export IDP_THREADS="$2"
 
 mkdir -p results
+# Reports newer than this marker were refreshed by this run.
+: > results/.bench_start
 ran=0
 for b in build/bench/*; do
     name=$(basename "$b")
@@ -70,9 +76,11 @@ if [ "$ran" -eq 0 ]; then
     exit 1
 fi
 echo "All outputs written to results/."
-# micro_simcore / fig8_raid also refresh the machine-readable perf
-# trajectory (BENCH_kernel.json / BENCH_raid.json) in the repo root —
-# or in $IDP_BENCH_OUT when set. See docs/performance.md.
-for j in BENCH_*.json; do
-    [ -f "$j" ] && echo "Perf trajectory refreshed: $j"
-done
+# Benches with a machine-readable report refresh BENCH_<name>.json in
+# the repo root, or in $IDP_BENCH_OUT when set. See docs/performance.md.
+refreshed=$(find "${IDP_BENCH_OUT:-.}" -maxdepth 1 -name 'BENCH_*.json' \
+    -newer results/.bench_start | sort)
+if [ -n "$refreshed" ]; then
+    echo "Perf trajectory refreshed:" $refreshed
+    tools/bench_check.py $refreshed
+fi
