@@ -23,16 +23,13 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
 #include "bench_json.hh"
 #include "core/experiment.hh"
 #include "exec/pdes.hh"
-#include "sim/event_queue.hh"
 #include "stats/table.hh"
-#include "telemetry/telemetry.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -71,19 +68,10 @@ enum class Phase
  *  stream serializes its pump ticks. */
 PhaseResult
 runPhase(const ConfigDef &config, Phase phase,
-         const workload::Trace &trace, int pdes_workers = 0)
+         const workload::Trace &trace, unsigned pdes_workers = 0)
 {
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes_workers > 0)
-        prun = std::make_unique<exec::PdesRun>(
-            config.params, static_cast<unsigned>(pdes_workers),
-            telemetry::TraceOptions{});
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, config.params, nullptr,
-                            prun.get());
-    if (prun)
-        prun->setArray(&arr);
+    exec::ArrayRun run(config.params, pdes_workers);
+    array::StorageArray &arr = run.array();
     if (phase != Phase::Healthy)
         arr.failDisk(0);
     if (phase == Phase::Rebuilding)
@@ -91,12 +79,9 @@ runPhase(const ConfigDef &config, Phase phase,
     for (const auto &req : trace) {
         workload::IoRequest r = req;
         r.lba = req.lba % (arr.logicalSectors() - 64);
-        simul.schedule(r.arrival, [&arr, r] { arr.submit(r); });
+        run.feed().schedule(r.arrival, [&arr, r] { arr.submit(r); });
     }
-    if (prun)
-        prun->run();
-    else
-        simul.run();
+    run.run();
 
     PhaseResult out;
     const array::ArrayStats &st = arr.stats();
@@ -130,19 +115,10 @@ mirrorMeanMs(ConfigDef config, array::ReplicaPolicy policy,
  * 75% chunk landings (all sample buffers pre-reserved).
  */
 std::uint64_t
-rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
+rebuildSteadyAllocs(const ConfigDef &config, unsigned pdes_workers = 0)
 {
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes_workers > 0)
-        prun = std::make_unique<exec::PdesRun>(
-            config.params, static_cast<unsigned>(pdes_workers),
-            telemetry::TraceOptions{});
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, config.params, nullptr,
-                            prun.get());
-    if (prun)
-        prun->setArray(&arr);
+    exec::ArrayRun run(config.params, pdes_workers);
+    array::StorageArray &arr = run.array();
     arr.reserveStatsCapacity();
     arr.failDisk(0);
 
@@ -158,10 +134,7 @@ rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
             end_allocs = benchjson::allocCount();
     };
     arr.startRebuild(0, rp);
-    if (prun)
-        prun->run();
-    else
-        simul.run();
+    run.run();
     return end_allocs - start_allocs;
 }
 
@@ -306,7 +279,7 @@ main()
     // pure rebuild must stay allocation-free (the per-round horizon
     // computation reads drive bounds into fixed storage).
     bool pdes_matches = true;
-    for (int w : {1, 4, 8}) {
+    for (unsigned w : {1u, 4u, 8u}) {
         const PhaseResult rb =
             runPhase(configs[0], Phase::Rebuilding, trace, w);
         const PhaseResult &ref = lifecycle[0][2];

@@ -107,20 +107,9 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
 
     verify::RunChecker checker;
 
-    // Conservative intra-run PDES: opt-in per config or environment.
-    // The serial path below stays untouched when disabled.
-    const exec::PdesOptions pdes =
-        exec::PdesOptions::resolve(config.pdesWorkers);
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes.enabled)
-        prun = std::make_unique<exec::PdesRun>(
-            config.array, pdes.workers, trace_options);
-
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, config.array, nullptr, prun.get());
-    if (prun)
-        prun->setArray(&arr);
+    exec::ArrayRun run(config.array, config.pdesWorkers, trace_options);
+    sim::Simulator &simul = run.feed();
+    array::StorageArray &arr = run.array();
 
     // Feed arrivals incrementally so the event queue stays small even
     // for multi-million-request traces.
@@ -133,11 +122,8 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
         arr.submit(req);
     };
     simul.schedule(trace.front().arrival, feed);
-    if (prun)
-        prun->run();
-    else
-        simul.run();
-    const sim::Tick end_tick = prun ? prun->endTick() : simul.now();
+    run.run();
+    const sim::Tick end_tick = run.endTick();
 
     sim::simAssert(arr.idle(), "runTrace: array not drained");
     sim::simAssert(arr.stats().logicalCompletions == trace.size(),
@@ -180,19 +166,13 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
         // from the serial single-calendar numbers by the replay/
         // delivery mechanics (and deliberately so) — module counters
         // and all statistics above are mode-independent.
-        registry->setGauge(
-            "sim.events_fired",
-            static_cast<double>(prun ? prun->eventsFired()
-                                     : simul.eventsFired()));
-        registry->setGauge(
-            "sim.peak_pending",
-            static_cast<double>(prun ? prun->peakPending()
-                                     : simul.peakPending()));
-        registry->setGauge(
-            "sim.events_cancelled",
-            static_cast<double>(prun ? prun->eventsCancelled()
-                                     : simul.eventsCancelled()));
-        if (prun) {
+        registry->setGauge("sim.events_fired",
+                           static_cast<double>(run.eventsFired()));
+        registry->setGauge("sim.peak_pending",
+                           static_cast<double>(run.peakPending()));
+        registry->setGauge("sim.events_cancelled",
+                           static_cast<double>(run.eventsCancelled()));
+        if (const exec::PdesRun *prun = run.pdes()) {
             registry->setGauge(
                 "sim.pdes_rounds",
                 static_cast<double>(prun->rounds()));
@@ -227,7 +207,7 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
     }
     if (tracer)
         result.trace = std::make_shared<const telemetry::TraceData>(
-            prun ? prun->mergedTrace(*tracer) : tracer->finish());
+            run.trace(*tracer));
     return result;
 }
 

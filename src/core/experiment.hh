@@ -44,13 +44,12 @@ struct SystemConfig
     std::string name;
     array::ArrayParams array;
     /**
-     * Intra-run PDES control for runTrace: < 0 (default) follows the
-     * IDP_PDES / IDP_PDES_WORKERS environment, 0 forces the serial
-     * event loop, > 0 forces PDES with that many workers. Every
-     * configuration runs under PDES, and results are byte-identical
-     * either way.
+     * Engine for runTrace (see exec::ArrayRun): 0 (default) runs the
+     * serial event loop, > 0 runs intra-run PDES with that many
+     * workers. Every configuration runs under PDES, and results are
+     * byte-identical either way.
      */
-    int pdesWorkers = -1;
+    unsigned pdesWorkers = 0;
 };
 
 /** Per-device sector count used for Concat offsets, from Table 2. */

@@ -1,12 +1,9 @@
 #include "exec/pdes.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 
 #include "bus/bus.hh"
-#include "exec/sweep_runner.hh"
 #include "geom/geometry.hh"
 #include "power/governor.hh"
 #include "sim/logging.hh"
@@ -15,35 +12,6 @@
 
 namespace idp {
 namespace exec {
-
-PdesOptions
-PdesOptions::resolve(int override_workers)
-{
-    PdesOptions opts;
-    if (override_workers == 0)
-        return opts;
-    if (override_workers > 0) {
-        opts.enabled = true;
-        opts.workers = static_cast<unsigned>(override_workers);
-        return opts;
-    }
-    const char *env = std::getenv("IDP_PDES");
-    if (env == nullptr || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "off") == 0 || std::strcmp(env, "false") == 0)
-        return opts;
-    opts.enabled = true;
-    unsigned workers = 0;
-    if (const char *w = std::getenv("IDP_PDES_WORKERS")) {
-        const long v = std::atol(w);
-        if (v > 0)
-            workers = static_cast<unsigned>(v);
-        else
-            sim::warnOnce(
-                "IDP_PDES_WORKERS ignored (not a positive integer)");
-    }
-    opts.workers = workers != 0 ? workers : configuredThreads();
-    return opts;
-}
 
 PdesRun::PdesRun(const array::ArrayParams &params, unsigned workers,
                  const telemetry::TraceOptions &trace_options)
@@ -478,6 +446,19 @@ PdesRun::mergedTrace(const telemetry::Tracer &main) const
         }
     }
     return total;
+}
+
+ArrayRun::ArrayRun(const array::ArrayParams &params,
+                   unsigned pdes_workers,
+                   const telemetry::TraceOptions &trace_options)
+    : pdes_(pdes_workers > 0
+                ? std::make_unique<PdesRun>(params, pdes_workers,
+                                            trace_options)
+                : nullptr),
+      arr_(feed(), params, nullptr, pdes_.get())
+{
+    if (pdes_)
+        pdes_->setArray(&arr_);
 }
 
 } // namespace exec

@@ -81,22 +81,6 @@
 namespace idp {
 namespace exec {
 
-/** Resolved PDES controls for one run. */
-struct PdesOptions
-{
-    bool enabled = false;
-    unsigned workers = 1;
-
-    /**
-     * Resolve from a programmatic override and the environment:
-     * @p override_workers < 0 follows IDP_PDES (off unless set to a
-     * truthy value; worker count from IDP_PDES_WORKERS, else
-     * configuredThreads()); 0 forces the serial path; > 0 forces PDES
-     * with that many workers.
-     */
-    static PdesOptions resolve(int override_workers);
-};
-
 /** Merge key at a synchronization horizon: completions replay in
  *  (tick, drive id, per-drive sequence) order. */
 struct PdesCompletionKey
@@ -118,13 +102,11 @@ pdesMergeBefore(const PdesCompletionKey &a, const PdesCompletionKey &b)
 }
 
 /**
- * One PDES run. Lifecycle:
+ * One PDES run. ArrayRun wires it to its array; the lifecycle is:
  *
- *   PdesRun prun(params, workers, topts);
- *   array::StorageArray arr(prun.coordSim(), params, nullptr, &prun);
- *   prun.setArray(&arr);
- *   ... schedule the workload feed on prun.coordSim() ...
- *   prun.run();
+ *   ArrayRun run(params, workers, topts); // PdesRun + StorageArray
+ *   ... schedule the workload feed on run.feed() (the coordinator) ...
+ *   run.run();
  *
  * After run(), every calendar sits at endTick() — the same tick the
  * serial path's single calendar would end at — so downstream power /
@@ -289,6 +271,74 @@ class PdesRun final : public array::ArrayBridge
      *  re-installed inside every worker task. */
     verify::InvariantChecker *checker_ = nullptr;
     telemetry::Registry *registry_ = nullptr;
+};
+
+/**
+ * One storage-array run on the engine its caller chooses: the serial
+ * event loop (pdes_workers == 0) or a PdesRun with that many workers.
+ * Owns the calendar(s) and the StorageArray wired to them, so no
+ * caller hand-builds either engine:
+ *
+ *   ArrayRun run(params, workers);
+ *   run.feed().schedule(t, [&] { run.array().submit(req); });
+ *   run.run();
+ *
+ * Results are byte-identical on either engine. The serial path adds
+ * no heap allocation over a bare Simulator + StorageArray.
+ */
+class ArrayRun
+{
+  public:
+    ArrayRun(const array::ArrayParams &params, unsigned pdes_workers,
+             const telemetry::TraceOptions &trace_options = {});
+
+    /** The calendar a workload schedules on (the PDES coordinator). */
+    sim::Simulator &feed() { return pdes_ ? pdes_->coordSim() : serial_; }
+    array::StorageArray &array() { return arr_; }
+
+    /** Run until every calendar drains. */
+    void run()
+    {
+        if (pdes_)
+            pdes_->run();
+        else
+            serial_.run();
+    }
+
+    /** Final tick of the run (valid after run()). */
+    sim::Tick endTick() const
+    {
+        return pdes_ ? pdes_->endTick() : serial_.now();
+    }
+
+    /** Round statistics, or null when the run is serial. */
+    const PdesRun *pdes() const { return pdes_.get(); }
+
+    /** Kernel gauges summed over every calendar. */
+    std::uint64_t eventsFired() const
+    {
+        return pdes_ ? pdes_->eventsFired() : serial_.eventsFired();
+    }
+    std::uint64_t eventsCancelled() const
+    {
+        return pdes_ ? pdes_->eventsCancelled() : serial_.eventsCancelled();
+    }
+    std::size_t peakPending() const
+    {
+        return pdes_ ? pdes_->peakPending() : serial_.peakPending();
+    }
+
+    /** The run's trace from its main tracer @p main (plus, under
+     *  PDES, every drive tracer's; see PdesRun::mergedTrace). */
+    telemetry::TraceData trace(const telemetry::Tracer &main) const
+    {
+        return pdes_ ? pdes_->mergedTrace(main) : main.finish();
+    }
+
+  private:
+    sim::Simulator serial_;
+    std::unique_ptr<PdesRun> pdes_;
+    array::StorageArray arr_;
 };
 
 } // namespace exec

@@ -16,9 +16,10 @@ configuredThreads()
         return ThreadPool::hardwareThreads();
     char *end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1) {
+    if (end == env || *end != '\0' || v < 1 || v > kMaxThreads) {
         sim::warnOnce("IDP_THREADS='" + std::string(env) +
-                      "' is not a positive integer; using " +
+                      "' is not an integer in [1, " +
+                      std::to_string(kMaxThreads) + "]; using " +
                       std::to_string(ThreadPool::hardwareThreads()) +
                       " threads");
         return ThreadPool::hardwareThreads();

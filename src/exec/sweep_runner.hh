@@ -43,10 +43,14 @@ namespace exec {
 /** Default base seed for sweep-point stream derivation. */
 constexpr std::uint64_t kDefaultSweepSeed = 0x1D9A5EEDULL;
 
+/** Largest IDP_THREADS value configuredThreads() accepts. */
+constexpr long kMaxThreads = 1024;
+
 /**
- * Worker count from the environment: IDP_THREADS if set to a positive
- * integer (1 = serial), otherwise hardware_concurrency(). A malformed
- * value warns once and falls back to the default.
+ * Worker count from the environment: IDP_THREADS if set to an integer
+ * in [1, kMaxThreads] (1 = serial), otherwise hardware_concurrency().
+ * A malformed or out-of-range value warns once and falls back to the
+ * default.
  */
 unsigned configuredThreads();
 

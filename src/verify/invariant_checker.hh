@@ -161,9 +161,11 @@ class InvariantChecker
         /** Outstanding submit count (multiset semantics: RAID RMW
          *  legitimately re-submits a join id to one disk). */
         std::uint32_t count = 0;
-        /** Latest submit tick of this id: the causality floor a
-         *  completion is checked against. */
-        sim::Tick lastSubmit = 0;
+        /** Submit tick of the earliest copy still outstanding (set
+         *  when count leaves 0): the causality floor a completion is
+         *  checked against. Any outstanding copy may finish first, so
+         *  a later submit is no floor. */
+        sim::Tick firstSubmit = 0;
     };
 
     struct DiskState

@@ -25,7 +25,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 
 #include "array/rebuild.hh"
@@ -175,7 +174,7 @@ pdesScenario(const std::string &name)
 }
 
 std::string
-runPdesScenario(const PdesScenario &scenario, int pdes_workers)
+runPdesScenario(const PdesScenario &scenario, unsigned pdes_workers)
 {
     workload::SyntheticParams wp;
     wp.requests = scenario.requests;
@@ -240,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, PdesGolden,
 // Failure-lifecycle goldens: degraded RAID-5 (a member fails mid-run
 // with work in flight) and rebuilding RAID-1 (spare reconstruction
 // streams under foreground traffic). runTrace has no failure hook, so
-// these drive a Simulator + StorageArray directly and pin a summary
+// these drive an exec::ArrayRun directly and pin a summary
 // CSV of the response/accounting numbers. With pdes_workers > 0 the
 // same scenario runs under the PDES engine. Both runs schedule the
 // mid-run failure through scheduleFailDisk (under PDES it is also a
@@ -248,7 +247,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, PdesGolden,
 // ---------------------------------------------------------------
 
 std::string
-runFailureScenario(const std::string &name, int pdes_workers = 0)
+runFailureScenario(const std::string &name, unsigned pdes_workers = 0)
 {
     const bool rebuilding = name == "rebuild_raid1";
     array::ArrayParams params;
@@ -262,16 +261,8 @@ runFailureScenario(const std::string &name, int pdes_workers = 0)
         params.stripeSectors = 16;
     }
 
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes_workers > 0)
-        prun = std::make_unique<exec::PdesRun>(
-            params, static_cast<unsigned>(pdes_workers),
-            telemetry::TraceOptions{});
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, params, nullptr, prun.get());
-    if (prun)
-        prun->setArray(&arr);
+    exec::ArrayRun run(params, pdes_workers);
+    array::StorageArray &arr = run.array();
 
     workload::SyntheticParams wp;
     wp.requests = 2000;
@@ -280,7 +271,8 @@ runFailureScenario(const std::string &name, int pdes_workers = 0)
     wp.seed = 0xFA11;
     const auto trace = workload::generateSynthetic(wp);
     for (const auto &req : trace)
-        simul.schedule(req.arrival, [&arr, req] { arr.submit(req); });
+        run.feed().schedule(req.arrival,
+                            [&arr, req] { arr.submit(req); });
 
     if (rebuilding) {
         // Before run(): every calendar still sits at tick 0, so the
@@ -292,10 +284,7 @@ runFailureScenario(const std::string &name, int pdes_workers = 0)
     } else {
         arr.scheduleFailDisk(1, 50 * sim::kTicksPerMs);
     }
-    if (prun)
-        prun->run();
-    else
-        simul.run();
+    run.run();
 
     const array::ArrayStats &st = arr.stats();
     std::ostringstream os;

@@ -240,7 +240,7 @@ TEST(GovernorPdes, GovernedRunUnderDynamicPdesMatchesSerial)
     wp.meanInterArrivalMs = 10.0; // light: the governor gets to act
     const auto trace = workload::generateSynthetic(wp);
 
-    auto csvAt = [&](int pdes_workers) {
+    auto csvAt = [&](unsigned pdes_workers) {
         core::SystemConfig config = core::makeRaid0System(
             "governed-dyn",
             disk::makeIntraDiskParallel(disk::barracudaEs750(), 2), 4);

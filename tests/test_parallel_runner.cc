@@ -222,6 +222,20 @@ TEST(SweepRunner, HonoursIdpThreadsEnv)
     EXPECT_EQ(exec::SweepRunner().threads(), 3u);
     ASSERT_EQ(setenv("IDP_THREADS", "1", 1), 0);
     EXPECT_EQ(exec::configuredThreads(), 1u);
+    const std::string ceiling = std::to_string(exec::kMaxThreads);
+    ASSERT_EQ(setenv("IDP_THREADS", ceiling.c_str(), 1), 0);
+    EXPECT_EQ(exec::configuredThreads(),
+              static_cast<unsigned>(exec::kMaxThreads));
+    // Values that would wrap when narrowed to unsigned (2^32 -> 0,
+    // 2^32 + 1 -> 1) or that exceed the ceiling are malformed. Only
+    // configuredThreads() is called: no thread is started.
+    const std::string over = std::to_string(exec::kMaxThreads + 1);
+    for (const char *v : {"4294967296", "4294967297", over.c_str()}) {
+        ASSERT_EQ(setenv("IDP_THREADS", v, 1), 0);
+        EXPECT_EQ(exec::configuredThreads(),
+                  exec::ThreadPool::hardwareThreads())
+            << "IDP_THREADS=" << v;
+    }
     ASSERT_EQ(unsetenv("IDP_THREADS"), 0);
     EXPECT_EQ(exec::configuredThreads(),
               exec::ThreadPool::hardwareThreads());

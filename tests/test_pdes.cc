@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,17 +28,6 @@
 namespace {
 
 using namespace idp;
-
-/** RAII environment variable override. */
-struct EnvGuard
-{
-    std::string name;
-    EnvGuard(const char *n, const char *value) : name(n)
-    {
-        setenv(n, value, 1);
-    }
-    ~EnvGuard() { unsetenv(name.c_str()); }
-};
 
 // ---------------------------------------------------------------
 // Horizon derivation: where no feedback path reads live drive state,
@@ -77,15 +65,15 @@ struct RoundStats
 RoundStats
 runRounds(const array::ArrayParams &params, const workload::Trace &trace)
 {
-    exec::PdesRun prun(params, 4, telemetry::TraceOptions{});
-    array::StorageArray arr(prun.coordSim(), params, nullptr, &prun);
-    prun.setArray(&arr);
+    exec::ArrayRun run(params, 4);
+    array::StorageArray &arr = run.array();
     for (const auto &req : trace)
-        prun.coordSim().schedule(req.arrival,
-                                 [&arr, req] { arr.submit(req); });
-    prun.run();
+        run.feed().schedule(req.arrival,
+                            [&arr, req] { arr.submit(req); });
+    run.run();
     EXPECT_EQ(arr.stats().logicalCompletions, trace.size());
 
+    const exec::PdesRun &prun = *run.pdes();
     RoundStats r;
     r.rounds = prun.rounds();
     r.serialSteps = prun.serialSteps();
@@ -222,7 +210,7 @@ TEST(PdesMergeOrder, KeyIsLexicographicTickDriveSeq)
 
 std::string
 runToCsv(const workload::Trace &trace, core::SystemConfig config,
-         int pdes_workers)
+         unsigned pdes_workers)
 {
     config.pdesWorkers = pdes_workers;
     const std::vector<core::RunResult> results = {
@@ -263,24 +251,6 @@ TEST(PdesStress, Raid5BusFiniteWindowByteIdentical)
     EXPECT_EQ(serial, runToCsv(trace, config, 4));
 }
 
-TEST(PdesStress, EnvironmentOptInMatchesSerial)
-{
-    workload::SyntheticParams wp;
-    wp.requests = 3000;
-    const auto trace = workload::generateSynthetic(wp);
-    const core::SystemConfig config = raid0NoBus(4);
-
-    // pdesWorkers = -1 follows the environment in both runs.
-    const std::string serial = runToCsv(trace, config, -1);
-    std::string pdes;
-    {
-        EnvGuard on("IDP_PDES", "1");
-        EnvGuard workers("IDP_PDES_WORKERS", "3");
-        pdes = runToCsv(trace, config, -1);
-    }
-    EXPECT_EQ(serial, pdes);
-}
-
 // ---------------------------------------------------------------
 // Exactness with 8 workers (satellite: thread-local scopes must
 // install per worker; counters and checker accounting stay exact).
@@ -301,7 +271,7 @@ TEST(PdesExactness, CheckerAccountingIsExactAcrossWorkerCounts)
     // lost or misattributed update at 8 workers would break equality
     // with the 1-worker run of the same schedule.
     std::uint64_t observed[2] = {0, 0};
-    const int workers[2] = {1, 8};
+    const unsigned workers[2] = {1, 8};
     for (int i = 0; i < 2; ++i) {
         verify::InvariantChecker checker(verify::FailMode::Record);
         verify::VerifyScope scope(&checker);
@@ -552,7 +522,7 @@ TEST(PdesExactness, ModuleCountersExactWithEightWorkers)
     telemetry::TraceOptions topts;
     topts.enabled = true;
 
-    auto metricsAt = [&](int pdes_workers) {
+    auto metricsAt = [&](unsigned pdes_workers) {
         core::SystemConfig c = raid0NoBus(4);
         c.pdesWorkers = pdes_workers;
         return core::runTrace(trace, c, topts).metrics;

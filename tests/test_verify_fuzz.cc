@@ -1,7 +1,9 @@
 /**
  * @file
  * Fuzz audit harness: randomized array configurations and workloads
- * driven through the full stack with the invariant checker hot, plus
+ * driven through the full stack with the invariant checker hot, on
+ * the serial engine and under PDES at 1 and 4 workers (every engine
+ * must stay checker-clean and produce byte-equal CSV output), plus
  * serialization round-trip audits (trace files, CSV exports) on the
  * randomized results. Complements test_fuzz_configs.cc, which fuzzes
  * the bare DiskDrive; here the whole array/RAID/cache/verify path is
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
@@ -108,6 +111,16 @@ randomTrace(sim::Rng &rng, std::uint64_t logical_sectors,
     return trace;
 }
 
+/** Summary + CDF CSV of one run: the bytes every engine must match. */
+std::string
+resultCsv(const core::RunResult &result)
+{
+    std::ostringstream os;
+    core::writeSummaryCsv(os, {result});
+    core::writeCdfCsv(os, {result});
+    return os.str();
+}
+
 class VerifyFuzz : public ::testing::TestWithParam<int>
 {
 };
@@ -116,8 +129,9 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
 {
     if (!verify::kCompiledIn)
         GTEST_SKIP() << "verify compiled out: the run feeds no hooks";
-    sim::Rng rng(0xFA22 + static_cast<std::uint64_t>(GetParam()));
-    const core::SystemConfig config = randomSystem(rng);
+    const auto seed = 0xFA22 + static_cast<std::uint64_t>(GetParam());
+    sim::Rng rng(seed);
+    core::SystemConfig config = randomSystem(rng);
 
     // Probe the logical capacity with a throwaway build (cheap), then
     // fuzz a workload inside it.
@@ -128,17 +142,36 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
     }();
     workload::Trace trace = randomTrace(rng, logical, 400);
 
-    InvariantChecker vc(FailMode::Record);
+    // Bus and replica policy come from a second stream, so the specs
+    // drawn above stay what they were before these knobs joined.
+    sim::Rng knobs(sim::streamSeed(seed, 1));
+    config.array.useBus = knobs.chance(0.5);
+    config.array.replica = knobs.chance(0.5)
+        ? array::ReplicaPolicy::Positioning
+        : array::ReplicaPolicy::Queue;
+
+    // Every engine must run checker-clean and produce the same bytes.
     core::RunResult result;
-    {
-        VerifyScope scope(&vc);
-        result = core::runTrace(trace, config);
+    for (const unsigned workers : {0u, 1u, 4u}) {
+        SCOPED_TRACE(config.name + " bus=" +
+                     std::to_string(config.array.useBus) +
+                     " workers=" + std::to_string(workers));
+        config.pdesWorkers = workers;
+        InvariantChecker vc(FailMode::Record);
+        core::RunResult run;
+        {
+            VerifyScope scope(&vc);
+            run = core::runTrace(trace, config);
+        }
+        vc.finalize();
+        EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
+        EXPECT_GT(vc.observations(), trace.size());
+        EXPECT_EQ(run.completions, trace.size());
+        if (workers == 0)
+            result = run;
+        else
+            EXPECT_EQ(resultCsv(run), resultCsv(result));
     }
-    vc.finalize();
-    EXPECT_TRUE(vc.violations().empty())
-        << config.name << ": " << vc.violations().front();
-    EXPECT_GT(vc.observations(), trace.size());
-    EXPECT_EQ(result.completions, trace.size());
 
     // Serialization audits on the fuzzed run:
     // (a) the trace must round-trip exactly through the v2 format;
@@ -155,13 +188,12 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
         EXPECT_EQ(loaded[i].background, trace[i].background);
     }
 
-    // (b) CSV exports must be well-formed: header plus one data row
-    // per system / bucket, stable across a second serialization.
-    std::ostringstream csv1, csv2;
-    core::writeSummaryCsv(csv1, {result});
-    core::writeSummaryCsv(csv2, {result});
-    EXPECT_EQ(csv1.str(), csv2.str());
-    EXPECT_NE(csv1.str().find(config.name), std::string::npos);
+    // (b) CSV exports must be stable across a second serialization
+    // and well-formed: the summary names the system, and the CDF
+    // holds a header plus one row per bucket.
+    const std::string csv = resultCsv(result);
+    EXPECT_EQ(csv, resultCsv(result));
+    EXPECT_NE(csv.find(config.name), std::string::npos);
 
     std::ostringstream cdf;
     core::writeCdfCsv(cdf, {result});
@@ -171,6 +203,6 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
     EXPECT_EQ(rows, 1 + result.responseHist.buckets());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VerifyFuzz, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, VerifyFuzz, ::testing::Range(0, 48));
 
 } // namespace

@@ -77,6 +77,27 @@ TEST(VerifyChecker, CatchesCompletionFasterThanMinimumService)
               std::string::npos);
 }
 
+TEST(VerifyChecker, ChecksCompletionAgainstEarliestOutstandingSubmit)
+{
+    // Two copies of id 7 in flight: either may finish first, so the
+    // floor is the earlier submit, not the later one.
+    InvariantChecker vc(FailMode::Record);
+    vc.diskSubmit(0, 7, 100, 100);
+    vc.diskSubmit(0, 7, 200, 200);
+    vc.diskComplete(0, 7, 250, /*min_service=*/100);
+    vc.diskComplete(0, 7, 300, /*min_service=*/100);
+    EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
+
+    // Earlier than the earliest outstanding submit + minimum service
+    // is still non-causal.
+    vc.diskSubmit(0, 7, 1000, 1000);
+    vc.diskSubmit(0, 7, 1100, 1100);
+    vc.diskComplete(0, 7, 1150, /*min_service=*/200);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("minimum service"),
+              std::string::npos);
+}
+
 TEST(VerifyChecker, CatchesSubmitBeforeArrival)
 {
     InvariantChecker vc(FailMode::Record);
@@ -300,6 +321,33 @@ TEST(VerifyEndToEnd, CleanFaultyCoalescingDriveIsSilent)
     observedRun(core::makeRaid0System("faulty", spec, 1), vc);
     vc.finalize();
     EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
+}
+
+TEST(VerifyEndToEnd, BusWriteBackSplitWriteIsSilent)
+{
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "verify compiled out: the run feeds no hooks";
+    // Over a bus, a write spanning four 8-sector stripe units reaches
+    // each of the two members twice, at different ticks; the
+    // write-back cache completes the first copy before the second
+    // copy's submit + controller overhead. That is causal.
+    disk::DriveSpec d = disk::barracudaEs750();
+    d.cache.writeBack = true;
+    core::SystemConfig config = core::makeRaid0System("r0", d, 2, 8);
+    config.array.useBus = true;
+    workload::IoRequest req;
+    req.sectors = 32;
+    req.isRead = false;
+
+    InvariantChecker vc(FailMode::Record);
+    core::RunResult run;
+    {
+        VerifyScope scope(&vc);
+        run = core::runTrace({req}, config);
+    }
+    vc.finalize();
+    EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
+    EXPECT_EQ(run.completions, 1u);
 }
 
 TEST(VerifyEndToEnd, ClosedLoopInstallsItsOwnChecker)
