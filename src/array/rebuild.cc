@@ -1,8 +1,6 @@
 #include "array/rebuild.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <limits>
 
 #include "array/storage_array.hh"
 #include "sim/logging.hh"
@@ -11,39 +9,10 @@
 namespace idp {
 namespace array {
 
-namespace {
-
-/** Environment overrides for the pacing knobs. These live in the
- *  array layer, so they parse getenv directly rather than pulling in
- *  core's helpers. */
-RebuildParams
-withEnvOverrides(RebuildParams params)
-{
-    if (const char *env = std::getenv("IDP_REBUILD_CHUNK")) {
-        const long long v = std::atoll(env);
-        if (v > 0 && v <= std::numeric_limits<std::uint32_t>::max())
-            params.chunkSectors = static_cast<std::uint32_t>(v);
-    }
-    if (const char *env = std::getenv("IDP_REBUILD_MBPS")) {
-        const double v = std::atof(env);
-        if (v > 0.0)
-            params.rateMBps = v;
-    }
-    if (const char *env = std::getenv("IDP_REBUILD_YIELD")) {
-        const long long v = std::atoll(env);
-        if (v >= 0)
-            params.yieldDepth = static_cast<std::size_t>(v);
-    }
-    return params;
-}
-
-} // namespace
-
 RebuildEngine::RebuildEngine(StorageArray &arr,
                              std::uint32_t spare_idx,
                              RebuildParams params)
-    : arr_(arr), spareIdx_(spare_idx),
-      params_(withEnvOverrides(std::move(params)))
+    : arr_(arr), spareIdx_(spare_idx), params_(std::move(params))
 {
     sim::simAssert(params_.chunkSectors > 0,
                    "rebuild: chunkSectors must be positive");

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
 #include "array/array_bridge.hh"
@@ -14,27 +12,6 @@
 
 namespace idp {
 namespace array {
-
-namespace {
-
-/** IDP_REPLICA environment override for the RAID-1 read policy. */
-ReplicaPolicy
-replicaPolicyFromEnv(ReplicaPolicy configured)
-{
-    const char *env = std::getenv("IDP_REPLICA");
-    if (env == nullptr || *env == '\0')
-        return configured;
-    if (std::strcmp(env, "queue") == 0)
-        return ReplicaPolicy::Queue;
-    if (std::strcmp(env, "position") == 0 ||
-        std::strcmp(env, "positioning") == 0)
-        return ReplicaPolicy::Positioning;
-    sim::panic(std::string("IDP_REPLICA: unknown policy \"") + env +
-               "\" (use \"queue\" or \"position\")");
-    return configured;
-}
-
-} // namespace
 
 StorageArray::StorageArray(sim::Simulator &simul,
                            const ArrayParams &params,
@@ -113,7 +90,6 @@ StorageArray::StorageArray(sim::Simulator &simul,
     ctrReplicaTies_ = telemetry::counterHandle("array.replica_ties");
     diskSectors_ = disks_[0]->geometry().totalSectors();
     failed_.assign(params_.disks, false);
-    replicaPolicy_ = replicaPolicyFromEnv(params_.replica);
 
     switch (params_.layout) {
       case Layout::PassThrough:
@@ -143,9 +119,7 @@ StorageArray::StorageArray(sim::Simulator &simul,
         break;
     }
 
-    const power::GovernorParams gov =
-        power::applyGovernorEnv(params_.governor);
-    if (gov.enabled) {
+    if (params_.governor.enabled) {
         // The governor mutates spindle speed at runtime. Under PDES
         // every governor control tick runs as a serial step (all
         // calendars advanced to the tick), so snapshots and
@@ -155,7 +129,7 @@ StorageArray::StorageArray(sim::Simulator &simul,
         for (auto &d : disks_)
             members.push_back(d.get());
         governor_ = std::make_unique<power::Governor>(
-            sim_, gov, std::move(members));
+            sim_, params_.governor, std::move(members));
     }
 }
 
@@ -463,7 +437,7 @@ std::uint32_t
 StorageArray::pickReplica(std::uint32_t a, std::uint32_t b,
                           const workload::IoRequest &sub)
 {
-    if (replicaPolicy_ == ReplicaPolicy::Queue) {
+    if (params_.replica == ReplicaPolicy::Queue) {
         // Legacy routing: shallower queue, round-robin on ties.
         if (disks_[a]->queueDepth() != disks_[b]->queueDepth())
             return disks_[a]->queueDepth() < disks_[b]->queueDepth()

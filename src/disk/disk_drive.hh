@@ -564,8 +564,8 @@ class DiskDrive
     WindowIndex windowIndex_;
     /** Monotone enqueue stamp feeding Pending::seq. */
     std::uint64_t enqueueSeq_ = 0;
-    /** Dispatch through the cylinder index (policy supports it,
-     *  spec_.schedPrune set, IDP_SCHED_PRUNE not disabling it). */
+    /** Dispatch through the cylinder index (policy supports it and
+     *  spec_.schedPrune is set). */
     bool schedIndexed_ = false;
 
     WaiterRing channelWaiters_; // FIFO of in-flight ids

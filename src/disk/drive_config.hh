@@ -72,8 +72,9 @@ struct DriveSpec
      * Dispatch through the incrementally maintained cylinder index
      * with admissible lower-bound pruning (selects the byte-identical
      * pair the exhaustive scan would, in O(priced) oracle calls
-     * instead of O(window x arms)). The IDP_SCHED_PRUNE=0 environment
-     * escape hatch forces the exhaustive path regardless.
+     * instead of O(window x arms)). False forces the exhaustive
+     * scan, which serves as the oracle the pruned path is tested
+     * against.
      */
     bool schedPrune = true;
 

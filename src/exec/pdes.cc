@@ -5,7 +5,6 @@
 
 #include "bus/bus.hh"
 #include "geom/geometry.hh"
-#include "power/governor.hh"
 #include "sim/logging.hh"
 #include "telemetry/telemetry.hh"
 #include "verify/verify.hh"
@@ -17,7 +16,7 @@ PdesRun::PdesRun(const array::ArrayParams &params, unsigned workers,
                  const telemetry::TraceOptions &trace_options)
 {
     serialCoordConfig_ = params.layout == array::Layout::Raid1 ||
-        power::applyGovernorEnv(params.governor).enabled;
+        params.governor.enabled;
     feedbackConfig_ =
         params.layout == array::Layout::Raid5 && !params.useBus;
     // Every bus movement carries at least one sector, so the

@@ -1,60 +1,12 @@
 #include "power/governor.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "disk/disk_drive.hh"
 #include "sim/logging.hh"
 
 namespace idp {
 namespace power {
-
-namespace {
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || *end != '\0' || v <= 0.0)
-        sim::fatal(std::string(name) + ": expected a positive number, got \"" +
-                   env + "\"");
-    return v;
-}
-
-} // namespace
-
-GovernorParams
-applyGovernorEnv(GovernorParams params)
-{
-    if (const char *env = std::getenv("IDP_GOVERNOR")) {
-        const std::string v(env);
-        if (v == "0" || v == "off")
-            params.enabled = false;
-        else if (v == "1" || v == "on")
-            params.enabled = true;
-        else
-            sim::fatal(std::string("IDP_GOVERNOR: expected 0/1, got \"") +
-                       env + "\"");
-    }
-    params.windowMs = envDouble("IDP_GOVERNOR_WINDOW_MS", params.windowMs);
-    params.sloP99Ms = envDouble("IDP_GOVERNOR_SLO_MS", params.sloP99Ms);
-    params.minDwellMs = envDouble("IDP_GOVERNOR_DWELL_MS", params.minDwellMs);
-    if (const char *env = std::getenv("IDP_GOVERNOR_PARK")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end == env || *end != '\0')
-            sim::fatal(std::string(
-                           "IDP_GOVERNOR_PARK: expected an arm count, got \"") +
-                       env + "\"");
-        params.parkKeepArms = static_cast<std::uint32_t>(v);
-    }
-    return params;
-}
 
 Governor::Governor(sim::Simulator &simul, const GovernorParams &params,
                    std::vector<disk::DiskDrive *> drives)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -13,16 +11,6 @@
 
 namespace idp {
 namespace sched {
-
-bool
-pruneEnabledFromEnv()
-{
-    const char *v = std::getenv("IDP_SCHED_PRUNE");
-    if (v == nullptr)
-        return true;
-    return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-        std::strcmp(v, "false") != 0;
-}
 
 Choice
 IoScheduler::selectIndexed(const std::vector<ArmView> &arms,
@@ -251,7 +239,7 @@ class SstfScheduler : public IoScheduler
 
     Choice
     selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick now,
+                  const PositioningFn & /*cost*/, sim::Tick /*now*/,
                   CylinderIndex &index) override
     {
         // SSTF's cost metric *is* the cylinder distance, so the band
@@ -335,7 +323,7 @@ class ClookScheduler : public IoScheduler
 
     Choice
     selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick now,
+                  const PositioningFn &cost, sim::Tick /*now*/,
                   CylinderIndex &index) override
     {
         const std::uint32_t sweep_before = sweep_;

@@ -26,6 +26,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
@@ -359,5 +362,77 @@ INSTANTIATE_TEST_SUITE_P(Lifecycle, FailureGolden,
                          [](const auto &info) {
                              return std::string(info.param);
                          });
+
+// ---------------------------------------------------------------
+// A run's settings come only from its params. These variables were
+// once read inside library constructors and overrode the caller's
+// config; exporting them must not move a byte.
+// ---------------------------------------------------------------
+
+/** The former overrides, each with a value that differs from the
+ *  params these scenarios use. */
+const std::pair<const char *, const char *> kFormerOverrides[] = {
+    {"IDP_GOVERNOR", "1"},
+    {"IDP_GOVERNOR_WINDOW_MS", "125"},
+    {"IDP_GOVERNOR_SLO_MS", "30"},
+    {"IDP_GOVERNOR_DWELL_MS", "1500"},
+    {"IDP_GOVERNOR_PARK", "2"},
+    {"IDP_REPLICA", "queue"},
+    {"IDP_REBUILD_CHUNK", "4096"},
+    {"IDP_REBUILD_MBPS", "50"},
+    {"IDP_REBUILD_YIELD", "0"},
+    {"IDP_SCHED_PRUNE", "0"},
+};
+
+/** Sets (or unsets) every former override for its lifetime, then
+ *  restores the environment the test started with. */
+class FormerOverridesScope
+{
+  public:
+    explicit FormerOverridesScope(bool set)
+    {
+        for (const auto &[name, value] : kFormerOverrides) {
+            const char *old = std::getenv(name);
+            saved_.push_back({name, old != nullptr, old ? old : ""});
+            if (set)
+                ::setenv(name, value, 1);
+            else
+                ::unsetenv(name);
+        }
+    }
+    ~FormerOverridesScope()
+    {
+        for (const Saved &s : saved_) {
+            if (s.wasSet)
+                ::setenv(s.name, s.value.c_str(), 1);
+            else
+                ::unsetenv(s.name);
+        }
+    }
+    FormerOverridesScope(const FormerOverridesScope &) = delete;
+    FormerOverridesScope &operator=(const FormerOverridesScope &) = delete;
+
+  private:
+    struct Saved
+    {
+        const char *name;
+        bool wasSet;
+        std::string value;
+    };
+    std::vector<Saved> saved_;
+};
+
+TEST(DeterminismGolden, FormerEnvOverridesLeaveRunsUnchanged)
+{
+    std::string sa2, rebuild;
+    {
+        const FormerOverridesScope unset(false);
+        sa2 = runScenario();
+        rebuild = runFailureScenario("rebuild_raid1");
+    }
+    const FormerOverridesScope set(true);
+    EXPECT_EQ(runScenario(), sa2);
+    EXPECT_EQ(runFailureScenario("rebuild_raid1"), rebuild);
+}
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Energy-governor tests: control-law behaviour (step-down in lulls,
- * SLO-protecting step-up in bursts, actuator parking), environment
- * overrides, mode/energy conservation under governed runs, PDES
+ * SLO-protecting step-up in bursts, actuator parking),
+ * mode/energy conservation under governed runs, PDES
  * rejection, and a cross-PR determinism golden pinned at worker
  * counts 1 and 8.
  */
@@ -191,40 +191,6 @@ TEST(Governor, GovernedLullUsesLessEnergyThanStaticNominal)
         energy[v] = h.arr.finishPower().totalEnergyJ;
     }
     EXPECT_LT(energy[1], energy[0] * 0.85);
-}
-
-TEST(Governor, EnvOverridesParseAndReject)
-{
-    power::GovernorParams base;
-    ASSERT_EQ(setenv("IDP_GOVERNOR", "1", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_WINDOW_MS", "125", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_SLO_MS", "30", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_DWELL_MS", "1500", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_PARK", "2", 1), 0);
-    const power::GovernorParams g = power::applyGovernorEnv(base);
-    EXPECT_TRUE(g.enabled);
-    EXPECT_DOUBLE_EQ(g.windowMs, 125.0);
-    EXPECT_DOUBLE_EQ(g.sloP99Ms, 30.0);
-    EXPECT_DOUBLE_EQ(g.minDwellMs, 1500.0);
-    EXPECT_EQ(g.parkKeepArms, 2u);
-
-    ASSERT_EQ(setenv("IDP_GOVERNOR", "0", 1), 0);
-    EXPECT_FALSE(power::applyGovernorEnv(base).enabled);
-
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_WINDOW_MS"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_SLO_MS"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_DWELL_MS"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_PARK"), 0);
-}
-
-TEST(GovernorDeathTest, BadEnvValueIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ASSERT_EQ(setenv("IDP_GOVERNOR_SLO_MS", "fast", 1), 0);
-    EXPECT_EXIT(power::applyGovernorEnv(power::GovernorParams{}),
-                ::testing::ExitedWithCode(1), "IDP_GOVERNOR_SLO_MS");
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_SLO_MS"), 0);
 }
 
 // ---------------------------------------------------------------

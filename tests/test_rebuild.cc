@@ -183,21 +183,6 @@ TEST(ReplicaDispatch, EscapeHatchQueuePolicyRoundRobins)
     EXPECT_EQ(h.arr.diskAt(1).stats().arrivals, 5u);
 }
 
-TEST(ReplicaDispatch, EnvOverrideForcesQueuePolicy)
-{
-    ::setenv("IDP_REPLICA", "queue", 1);
-    ArrayParams p = raid1(/*seek_scale=*/4.0); // params say Positioning
-    Harness h(p);
-    ::unsetenv("IDP_REPLICA");
-    const geom::Lba far_lba = h.arr.logicalSectors() - 4096;
-    for (int i = 0; i < 10; ++i)
-        h.submitAt(i * 100 * sim::kTicksPerMs,
-                   req(i, far_lba + 64 * i, 8, true));
-    h.simul.run();
-    EXPECT_EQ(h.arr.diskAt(0).stats().arrivals, 5u);
-    EXPECT_EQ(h.arr.diskAt(1).stats().arrivals, 5u);
-}
-
 TEST(ReplicaDispatch, FailedReplicaExcludedFromPricing)
 {
     Harness h(raid1(/*seek_scale=*/4.0));
@@ -244,25 +229,6 @@ TEST(Rebuild, Raid1CopiesMirrorAndRestoresMember)
     // Mirror twin served every read; the spare took every write.
     EXPECT_EQ(h.arr.diskAt(1).stats().arrivals, chunks);
     EXPECT_EQ(h.arr.diskAt(0).stats().arrivals, chunks);
-}
-
-TEST(Rebuild, EnvChunkBeyondTheFieldKeepsTheParam)
-{
-    const auto chunks_total = [](const char *env_chunk) {
-        ::setenv("IDP_REBUILD_CHUNK", env_chunk, 1);
-        Harness h(raid1());
-        h.arr.failDisk(0);
-        RebuildParams rp;
-        rp.chunkSectors = 65536;
-        h.arr.startRebuild(0, rp);
-        ::unsetenv("IDP_REBUILD_CHUNK");
-        return h.arr.rebuild()->progress().chunksTotal;
-    };
-    Harness h(raid1());
-    const std::uint64_t sectors = h.arr.logicalSectors();
-    EXPECT_EQ(chunks_total("131072"), (sectors + 131071) / 131072);
-    // 2^32 + 1 would truncate to 1-sector chunks.
-    EXPECT_EQ(chunks_total("4294967297"), (sectors + 65535) / 65536);
 }
 
 TEST(Rebuild, Raid5ReadsEverySurvivorPerChunk)

@@ -145,19 +145,6 @@ TEST(SchedPrune, DeepQueueCompletionsByteIdenticalAcrossPolicies)
     }
 }
 
-TEST(SchedPrune, EnvVarForcesExhaustivePathWithIdenticalResults)
-{
-    const auto pruned = runDeepQueue(
-        deepQueueSpec(sched::Policy::Sptf, true), 0xE5C);
-    ASSERT_EQ(setenv("IDP_SCHED_PRUNE", "0", 1), 0);
-    const auto forced_off = runDeepQueue(
-        deepQueueSpec(sched::Policy::Sptf, true), 0xE5C);
-    ASSERT_EQ(unsetenv("IDP_SCHED_PRUNE"), 0);
-    ASSERT_EQ(pruned.size(), forced_off.size());
-    for (std::size_t i = 0; i < pruned.size(); ++i)
-        ASSERT_TRUE(pruned[i] == forced_off[i]) << "completion " << i;
-}
-
 /**
  * SptfAged starvation bound: a lone request on a far cylinder, buried
  * under a continuous stream of hot-cylinder traffic that pure SPTF

@@ -2,8 +2,9 @@
  * @file
  * Fuzz audit harness: randomized array configurations and workloads
  * driven through the full stack with the invariant checker hot, on
- * the serial engine and under PDES at 1 and 4 workers (every engine
- * must stay checker-clean and produce byte-equal CSV output), plus
+ * the serial engine, under PDES at 1 and 4 workers and serially with
+ * the exhaustive scheduler scan (every run must stay checker-clean
+ * and produce byte-equal CSV output), plus
  * serialization round-trip audits (trace files, CSV exports) on the
  * randomized results. Complements test_fuzz_configs.cc, which fuzzes
  * the bare DiskDrive; here the whole array/RAID/cache/verify path is
@@ -150,13 +151,10 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
         ? array::ReplicaPolicy::Positioning
         : array::ReplicaPolicy::Queue;
 
-    // Every engine must run checker-clean and produce the same bytes.
-    core::RunResult result;
-    for (const unsigned workers : {0u, 1u, 4u}) {
+    // Every run must be checker-clean.
+    const auto checked_run = [&](const std::string &label) {
         SCOPED_TRACE(config.name + " bus=" +
-                     std::to_string(config.array.useBus) +
-                     " workers=" + std::to_string(workers));
-        config.pdesWorkers = workers;
+                     std::to_string(config.array.useBus) + " " + label);
         InvariantChecker vc(FailMode::Record);
         core::RunResult run;
         {
@@ -167,11 +165,22 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
         EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
         EXPECT_GT(vc.observations(), trace.size());
         EXPECT_EQ(run.completions, trace.size());
-        if (workers == 0)
-            result = run;
-        else
-            EXPECT_EQ(resultCsv(run), resultCsv(result));
+        return run;
+    };
+
+    // Every engine must produce the serial run's bytes, and so must
+    // the exhaustive scheduler scan, the oracle the pruned dispatch
+    // has to match.
+    const core::RunResult result = checked_run("serial");
+    const std::string want = resultCsv(result);
+    for (const unsigned workers : {1u, 4u}) {
+        config.pdesWorkers = workers;
+        const std::string label = "workers=" + std::to_string(workers);
+        EXPECT_EQ(resultCsv(checked_run(label)), want) << label;
     }
+    config.pdesWorkers = 0;
+    config.array.drive.schedPrune = false;
+    EXPECT_EQ(resultCsv(checked_run("exhaustive")), want) << "exhaustive";
 
     // Serialization audits on the fuzzed run:
     // (a) the trace must round-trip exactly through the v2 format;
@@ -191,9 +200,8 @@ TEST_P(VerifyFuzz, RandomArrayRunsViolateNothing)
     // (b) CSV exports must be stable across a second serialization
     // and well-formed: the summary names the system, and the CDF
     // holds a header plus one row per bucket.
-    const std::string csv = resultCsv(result);
-    EXPECT_EQ(csv, resultCsv(result));
-    EXPECT_NE(csv.find(config.name), std::string::npos);
+    EXPECT_EQ(want, resultCsv(result));
+    EXPECT_NE(want.find(config.name), std::string::npos);
 
     std::ostringstream cdf;
     core::writeCdfCsv(cdf, {result});
