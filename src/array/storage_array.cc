@@ -265,7 +265,7 @@ StorageArray::tnow() const
 
 void
 StorageArray::submitSub(std::uint32_t disk_idx, workload::IoRequest sub,
-                        std::uint64_t join_id)
+                        std::uint64_t join_id, std::uint32_t verify_token)
 {
     sub.id = join_id;
     sub.arrival = tnow();
@@ -284,7 +284,7 @@ StorageArray::submitSub(std::uint32_t disk_idx, workload::IoRequest sub,
         sub.lba = diskSectors_ - sub.sectors;
     }
     telemetry::bump(ctrSubs_);
-    verify::onArraySub(join_id);
+    verify::onArraySub(join_id, verify_token);
     if (bus_ && !sub.isRead) {
         if (bridge_) {
             if (!bridge_->inArrayPhase()) {
@@ -355,10 +355,12 @@ StorageArray::submit(const workload::IoRequest &req)
                            tnow(),
                            static_cast<std::uint32_t>(nextJoinId_));
     const std::uint64_t join_id = nextJoinId_++;
-    verify::onArraySplit(join_id, req.arrival, tnow());
+    const std::uint32_t token =
+        verify::onArraySplit(join_id, req.arrival, tnow());
     Join join;
     join.logical = req;
     join.remaining = 0;
+    join.verifyToken = token;
 
     switch (params_.layout) {
       case Layout::PassThrough: {
@@ -366,7 +368,7 @@ StorageArray::submit(const workload::IoRequest &req)
                        "array: device beyond PassThrough disk count");
         join.remaining = 1;
         joins_.emplace(join_id, std::move(join));
-        submitSub(req.device, req, join_id);
+        submitSub(req.device, req, join_id, token);
         return;
       }
       case Layout::Concat: {
@@ -377,7 +379,7 @@ StorageArray::submit(const workload::IoRequest &req)
         sub.device = 0;
         join.remaining = 1;
         joins_.emplace(join_id, std::move(join));
-        submitSub(0, sub, join_id);
+        submitSub(0, sub, join_id, token);
         return;
       }
       case Layout::Raid0: {
@@ -467,9 +469,10 @@ void
 StorageArray::issueJoin(std::uint64_t join_id, Join &join, SubList subs)
 {
     join.remaining = static_cast<std::uint32_t>(subs.size());
+    const std::uint32_t token = join.verifyToken;
     joins_.emplace(join_id, std::move(join));
     for (auto &[idx, sub] : subs)
-        submitSub(idx, sub, join_id);
+        submitSub(idx, sub, join_id, token);
     subs.clear();
     splitScratch_ = std::move(subs);
 }
@@ -636,7 +639,7 @@ StorageArray::finishSub(std::uint64_t join_id, sim::Tick done,
     sim::simAssert(it != joins_.end(), "array: completion for no join");
     Join &join = it->second;
     sim::simAssert(join.remaining > 0, "array: join underflow");
-    verify::onArraySubFinish(join_id, done);
+    verify::onArraySubFinish(join_id, join.verifyToken, done);
     --join.remaining;
     if (tainted)
         join.tainted = true;
@@ -647,16 +650,18 @@ StorageArray::finishSub(std::uint64_t join_id, sim::Tick done,
         auto deferred = std::move(join.deferred);
         join.deferred.clear();
         join.remaining = static_cast<std::uint32_t>(deferred.size());
+        const std::uint32_t token = join.verifyToken;
         for (auto &[idx, sub] : deferred)
-            submitSub(idx, sub, join_id);
+            submitSub(idx, sub, join_id, token);
         return;
     }
 
     const workload::IoRequest logical = join.logical;
     const bool join_tainted = join.tainted;
+    const std::uint32_t token = join.verifyToken;
     joins_.erase(it);
     ++stats_.logicalCompletions;
-    verify::onArrayJoin(join_id, logical.arrival, done);
+    verify::onArrayJoin(join_id, token, logical.arrival, done);
     telemetry::emitSpan(logical.id, telemetry::SpanKind::RaidJoin,
                         logical.arrival, done,
                         static_cast<std::uint32_t>(join_id));

@@ -286,6 +286,8 @@ class StorageArray
     {
         workload::IoRequest logical;
         std::uint32_t remaining = 0;
+        /** Invariant-checker token from onArraySplit. */
+        std::uint32_t verifyToken = 0;
         /** A member failed under this join: >= 1 sub-completion was
          *  dropped, so the response sample would be fiction. */
         bool tainted = false;
@@ -324,7 +326,7 @@ class StorageArray
     /** Clock of whichever phase is executing (sim_ when serial). */
     sim::Tick tnow() const;
     void submitSub(std::uint32_t disk_idx, workload::IoRequest sub,
-                   std::uint64_t join_id);
+                   std::uint64_t join_id, std::uint32_t verify_token);
     /** Book a staged write's bus movement and queue its delivery. */
     void replayBusWrite(std::uint32_t disk_idx,
                         const workload::IoRequest &sub);

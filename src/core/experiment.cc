@@ -112,16 +112,18 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
     array::StorageArray &arr = run.array();
 
     // Feed arrivals incrementally so the event queue stays small even
-    // for multi-million-request traces.
+    // for multi-million-request traces. Each event holds a reference
+    // to the one feed: scheduling `feed` itself would copy the
+    // std::function, one heap allocation per request.
     std::size_t next = 0;
     std::function<void()> feed = [&] {
         const workload::IoRequest &req = trace[next];
         ++next;
         if (next < trace.size())
-            simul.schedule(trace[next].arrival, feed);
+            simul.schedule(trace[next].arrival, [&feed] { feed(); });
         arr.submit(req);
     };
-    simul.schedule(trace.front().arrival, feed);
+    simul.schedule(trace.front().arrival, [&feed] { feed(); });
     run.run();
     const sim::Tick end_tick = run.endTick();
 

@@ -495,9 +495,10 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
         costCache_.resize(pendingPool_.size() * arms_.size());
         fgList_.index.ensureSlots(pendingPool_.size());
         bgList_.index.ensureSlots(pendingPool_.size());
-        // The free list can hold every slot (drain phases); grow its
-        // capacity here so releasePending never allocates.
-        pendingFree_.reserve(pendingPool_.size());
+        // The free list can hold every slot (drain phases); match the
+        // pool's geometric capacity so releasePending never allocates
+        // and the free list does not reallocate per new slot.
+        pendingFree_.reserve(pendingPool_.capacity());
     } else {
         slot = pendingFree_.back();
         pendingFree_.pop_back();
@@ -685,8 +686,8 @@ DiskDrive::submit(const workload::IoRequest &req)
     sim::simAssert(req.sectors > 0, "disk: empty request");
     sim::simAssert(req.lba + req.sectors <= geometry_.totalSectors(),
                    "disk: request beyond device capacity");
-    verify::onDiskSubmit(telemetryId_, req.id, req.arrival,
-                         sim_.now());
+    const std::uint32_t token = verify::onDiskSubmit(
+        telemetryId_, req.id, req.arrival, sim_.now());
 
     if (req.isRead) {
         const bool hit = cache_.readLookup(req.lba, req.sectors);
@@ -695,51 +696,49 @@ DiskDrive::submit(const workload::IoRequest &req)
         if (hit) {
             ++stats_.cacheHits;
             telemetry::bump(ctrCacheHits_);
-            const sim::Tick done = sim_.now() + busTicks(req.sectors);
-            if (trackHitBounds_)
-                noteHitBound(done);
-            telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
-                                sim_.now(), done, telemetryId_);
-            workload::IoRequest copy = req;
-            sim_.schedule(done, [this, copy, done] {
-                ++stats_.completions;
-                ServiceInfo info;
-                info.cacheHit = true;
-                verify::onDiskComplete(telemetryId_, copy.id, done,
-                                       controllerTicks_);
-                if (onComplete_)
-                    onComplete_(copy, done, info);
-            });
+            scheduleCacheCompletion(req, token,
+                                    sim_.now() + busTicks(req.sectors));
             return;
         }
     } else {
         if (cache_.write(req.lba, req.sectors)) {
             // Write-back absorbed the write; destage happens later.
             telemetry::bump(ctrCacheHits_);
-            const sim::Tick done = sim_.now() + busTicks(req.sectors);
-            if (trackHitBounds_)
-                noteHitBound(done);
-            telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
-                                sim_.now(), done, telemetryId_);
-            workload::IoRequest copy = req;
-            sim_.schedule(done, [this, copy, done] {
-                ++stats_.completions;
-                ServiceInfo info;
-                info.cacheHit = true;
-                verify::onDiskComplete(telemetryId_, copy.id, done,
-                                       controllerTicks_);
-                if (onComplete_)
-                    onComplete_(copy, done, info);
-            });
+            scheduleCacheCompletion(req, token,
+                                    sim_.now() + busTicks(req.sectors));
             maybeDestage();
             return;
         }
     }
 
     const std::uint32_t slot = allocPending(req, /*internal=*/false);
+    pendingPool_[slot].verifyToken = token;
     listPushBack(req.background ? bgList_ : fgList_, slot);
     beginSpinUpIfNeeded();
     tryDispatch();
+}
+
+void
+DiskDrive::scheduleCacheCompletion(const workload::IoRequest &req,
+                                   std::uint32_t verify_token,
+                                   sim::Tick done)
+{
+    if (trackHitBounds_)
+        noteHitBound(done);
+    telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
+                        sim_.now(), done, telemetryId_);
+    auto complete = [this, copy = req, done, verify_token] {
+        ++stats_.completions;
+        ServiceInfo info;
+        info.cacheHit = true;
+        verify::onDiskComplete(telemetryId_, copy.id, verify_token,
+                               done, controllerTicks_);
+        if (onComplete_)
+            onComplete_(copy, done, info);
+    };
+    // One completion per cache hit: it must not allocate.
+    static_assert(sizeof(complete) <= sim::SmallFn::kInlineBytes);
+    sim_.schedule(done, std::move(complete));
 }
 
 void
@@ -818,7 +817,7 @@ DiskDrive::totalSectors(const Active &active) const
 {
     std::uint32_t total = active.req.sectors;
     for (const auto &rider : active.riders)
-        total += rider.sectors;
+        total += rider.req.sectors;
     return total;
 }
 
@@ -901,6 +900,7 @@ DiskDrive::tryDispatch()
         {
             const Pending &p = pendingPool_[chosen];
             active.req = p.req;
+            active.verifyToken = p.verifyToken;
             active.chs = p.chs;
             active.internal = p.internal;
             // Most policies priced the chosen pair through the
@@ -935,7 +935,7 @@ DiskDrive::tryDispatch()
                         p.req.isRead == active.req.isRead &&
                         !p.internal) {
                         next_lba += p.req.sectors;
-                        active.riders.push_back(p.req);
+                        active.riders.push_back({p.req, p.verifyToken});
                         listUnlink(source, s);
                         releasePending(s);
                         merged = true;
@@ -1243,20 +1243,21 @@ DiskDrive::completeActive(std::uint64_t id)
             ++stats_.hardErrors;
         }
 
-        auto record = [&](const workload::IoRequest &req) {
+        auto record = [&](const workload::IoRequest &req,
+                          std::uint32_t verify_token) {
             ++stats_.completions;
             if (req.background)
                 ++stats_.backgroundCompletions;
             stats_.rotMs.add(sim::ticksToMs(active.rotTicks));
-            verify::onDiskComplete(telemetryId_, req.id, now,
-                                   controllerTicks_);
+            verify::onDiskComplete(telemetryId_, req.id, verify_token,
+                                   now, controllerTicks_);
             if (onComplete_)
                 onComplete_(req, now, info);
         };
-        record(active.req);
+        record(active.req, active.verifyToken);
         stats_.coalescedRequests += active.riders.size();
         for (const auto &rider : active.riders)
-            record(rider);
+            record(rider.req, rider.verifyToken);
     }
 
     // A pending speed change starts its ramp the moment the drive

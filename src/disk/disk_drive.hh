@@ -359,6 +359,9 @@ class DiskDrive
         std::uint64_t seq = 0;
         /** Member of the first min(size, schedWindow) list prefix. */
         bool inWindow = false;
+        /** Invariant-checker token from onDiskSubmit (0 for
+         *  destages, which the checker does not track). */
+        std::uint32_t verifyToken = 0;
     };
 
     /**
@@ -400,9 +403,19 @@ class DiskDrive
         bool rotValid = false;
     };
 
+    /** A contiguous request folded into another's media access, with
+     *  its invariant-checker token. */
+    struct Rider
+    {
+        workload::IoRequest req;
+        std::uint32_t verifyToken = 0;
+    };
+
     struct Active
     {
         workload::IoRequest req;
+        /** Invariant-checker token of req (see Pending). */
+        std::uint32_t verifyToken = 0;
         geom::Chs chs;
         std::uint32_t arm = 0;
         Phase phase = Phase::Seeking;
@@ -440,7 +453,7 @@ class DiskDrive
         /** Slot holds a live access (vs free-list member). */
         bool inUse = false;
         /** Contiguous requests folded into this media access. */
-        std::vector<workload::IoRequest> riders;
+        std::vector<Rider> riders;
     };
 
     /** Allocation-free FIFO of in-flight ids blocked on the channel
@@ -626,6 +639,11 @@ class DiskDrive
     void tryStartTransfer(std::uint64_t id);
     void onTransferDone(std::uint64_t id);
     void completeActive(std::uint64_t id);
+    /** Schedule the completion of @p req, served from the cache at
+     *  @p done (read hit or write-back absorb). */
+    void scheduleCacheCompletion(const workload::IoRequest &req,
+                                 std::uint32_t verify_token,
+                                 sim::Tick done);
     void maybeDestage();
     /** Push a scheduled hit completion onto hitHeap_, pruning fired
      *  entries. */

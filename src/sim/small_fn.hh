@@ -7,10 +7,11 @@
  * SBO buffer costs a heap allocation per event — the dominant
  * steady-state allocation of the whole simulator. SmallFn keeps any
  * callable up to kInlineBytes (64 bytes, sized for the disk model's
- * largest hot-path capture: [this, IoRequest copy, Tick]) inside the
- * object itself and falls back to the heap only for oversized or
- * over-aligned callables, so the kernel's schedule/fire cycle is
- * allocation-free once the calendar slab has grown to its peak.
+ * largest hot-path capture: [this, IoRequest copy, Tick, checker
+ * token]) inside the object itself and falls back to the heap only
+ * for oversized or over-aligned callables, so the kernel's
+ * schedule/fire cycle is allocation-free once the calendar slab has
+ * grown to its peak.
  */
 
 #ifndef IDP_SIM_SMALL_FN_HH

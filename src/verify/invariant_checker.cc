@@ -9,10 +9,6 @@
 namespace idp {
 namespace verify {
 
-namespace {
-thread_local InvariantChecker *t_current = nullptr;
-} // namespace
-
 bool
 enabledFromEnv()
 {
@@ -29,12 +25,6 @@ enabledFromEnv()
 }
 
 InvariantChecker::InvariantChecker(FailMode mode) : mode_(mode) {}
-
-InvariantChecker *
-InvariantChecker::current()
-{
-    return t_current;
-}
 
 void
 InvariantChecker::fail(const std::string &what)
@@ -69,9 +59,8 @@ InvariantChecker::disk(std::uint32_t dev)
 }
 
 void
-InvariantChecker::touch(std::uint32_t dev, sim::Tick now)
+InvariantChecker::touch(DiskState &d, std::uint32_t dev, sim::Tick now)
 {
-    DiskState &d = disk(dev);
     if (now < d.lastSeen) {
         std::ostringstream os;
         os << "disk " << dev << ": time ran backwards (" << d.lastSeen
@@ -82,8 +71,8 @@ InvariantChecker::touch(std::uint32_t dev, sim::Tick now)
 }
 
 void
-InvariantChecker::checkKernelTime(std::uint32_t domain, sim::Tick now,
-                                  sim::Tick when)
+InvariantChecker::checkKernelTimeSlow(std::uint32_t domain,
+                                      sim::Tick now, sim::Tick when)
 {
     if (when < now) {
         std::ostringstream os;
@@ -108,12 +97,13 @@ InvariantChecker::checkKernelTime(std::uint32_t domain, sim::Tick now,
     domain_now = when;
 }
 
-void
-InvariantChecker::diskSubmit(std::uint32_t dev, std::uint64_t id,
-                             sim::Tick arrival, sim::Tick now)
+std::uint32_t
+InvariantChecker::diskSubmitSlow(std::uint32_t dev, std::uint64_t id,
+                                 sim::Tick arrival, sim::Tick now)
 {
-    ++disk(dev).observations;
-    touch(dev, now);
+    DiskState &d = disk(dev);
+    ++d.observations;
+    touch(d, dev, now);
     if (arrival > now) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id
@@ -121,27 +111,22 @@ InvariantChecker::diskSubmit(std::uint32_t dev, std::uint64_t id,
            << now << ")";
         fail(os.str());
     }
-    DiskState &d = disk(dev);
     ++d.submits;
-    OutstandingEntry &e = d.outstanding[id];
-    // Completion must be causal vs. the earliest outstanding submit of
-    // this id: one id can be in flight on a disk more than once (RAID-5
-    // RMW re-submits a join id; with a bus a join's stripe units reach
-    // one member at different ticks), and any copy may finish first —
-    // a write-back cache absorbs the first before the second arrives.
-    if (e.count++ == 0)
-        e.firstSubmit = now;
+    return d.inFlight.acquire(id, now);
 }
 
 void
-InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
-                               sim::Tick done, sim::Tick min_service)
+InvariantChecker::diskCompleteSlow(std::uint32_t dev, std::uint64_t id,
+                                   std::uint32_t token, sim::Tick done,
+                                   sim::Tick min_service)
 {
     DiskState &d = disk(dev);
     ++d.observations;
-    touch(dev, done);
-    OutstandingEntry *e = d.outstanding.find(id);
-    if (e == nullptr || e->count == 0) {
+    touch(d, dev, done);
+    // A token whose slot is free, whose generation is stale or whose
+    // entry holds another id names no copy of this request in flight.
+    DiskSlab::Entry *e = d.inFlight.find(token, id);
+    if (e == nullptr) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id
            << " completed more times than it was submitted";
@@ -149,21 +134,22 @@ InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
         return;
     }
     ++d.completions;
-    if (done < e->firstSubmit + min_service) {
+    // Causal against this copy's own submit, however many other
+    // copies of the id are in flight.
+    if (done < e->value + min_service) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id << " completed at "
            << done << ", before submit + minimum service ("
-           << e->firstSubmit + min_service << ")";
+           << e->value + min_service << ")";
         fail(os.str());
     }
-    if (--e->count == 0)
-        d.outstanding.erase(id);
+    d.inFlight.release(*e);
 }
 
 void
-InvariantChecker::checkPositioningBound(std::uint32_t dev,
-                                        sim::Tick lower_bound,
-                                        sim::Tick exact)
+InvariantChecker::checkPositioningBoundSlow(std::uint32_t dev,
+                                            sim::Tick lower_bound,
+                                            sim::Tick exact)
 {
     ++disk(dev).observations;
     if (lower_bound <= exact) [[likely]]
@@ -176,8 +162,8 @@ InvariantChecker::checkPositioningBound(std::uint32_t dev,
 }
 
 void
-InvariantChecker::checkServiceBound(std::uint32_t dev, sim::Tick floor,
-                                    sim::Tick done)
+InvariantChecker::checkServiceBoundSlow(std::uint32_t dev,
+                                        sim::Tick floor, sim::Tick done)
 {
     ++disk(dev).observations;
     if (floor <= done) [[likely]]
@@ -209,15 +195,13 @@ InvariantChecker::checkSchedChoice(const char *policy,
 }
 
 void
-InvariantChecker::checkDiskOccupancy(
+InvariantChecker::checkDiskOccupancySlow(
     std::uint32_t dev, std::size_t in_flight, std::uint32_t busy_arms,
     std::uint32_t total_arms, std::uint32_t active_seeks,
     std::uint32_t max_seeks, std::uint32_t active_transfers,
     std::uint32_t max_transfers)
 {
     ++disk(dev).observations;
-    // Hot path: every dispatch and completion passes through here, so
-    // the all-clear case must not touch streams or the heap.
     if (in_flight == busy_arms && busy_arms <= total_arms &&
         active_seeks <= max_seeks &&
         active_transfers <= max_transfers) [[likely]]
@@ -245,9 +229,9 @@ InvariantChecker::checkDiskOccupancy(
     }
 }
 
-void
-InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
-                             sim::Tick now)
+std::uint32_t
+InvariantChecker::arraySplitSlow(std::uint64_t join_id,
+                                 sim::Tick arrival, sim::Tick now)
 {
     ++arrayObservations_;
     if (arrival > now) {
@@ -257,67 +241,55 @@ InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
            << ")";
         fail(os.str());
     }
-    bool inserted = false;
-    JoinState &join = joins_.findOrInsert(join_id, inserted);
-    if (!inserted) {
+    // Every live join id is at most lastJoinId_, so an id that does
+    // not exceed it while joins are in flight may still be live.
+    if (joins_.live() != 0 && join_id <= lastJoinId_) {
         std::ostringstream os;
         os << "array: join id " << join_id << " reused";
         fail(os.str());
-        return;
+        return kNoToken;
     }
-    join.arrival = arrival;
-    ++joinsCreated_;
+    return openJoin(join_id);
 }
 
 void
-InvariantChecker::arraySub(std::uint64_t join_id)
+InvariantChecker::arraySubFailed(std::uint64_t join_id,
+                                 std::uint32_t token)
 {
-    ++arrayObservations_;
-    JoinState *join = joins_.find(join_id);
-    if (join == nullptr || join->joined) {
-        std::ostringstream os;
-        os << "array: sub-request issued for "
-           << (join == nullptr ? "unknown" : "already-joined")
-           << " join " << join_id;
-        fail(os.str());
-        return;
-    }
-    ++join->outstanding;
+    std::ostringstream os;
+    os << "array: sub-request issued for "
+       << (joins_.retired(token, join_id) ? "already-joined" : "unknown")
+       << " join " << join_id;
+    fail(os.str());
 }
 
 void
-InvariantChecker::arraySubFinish(std::uint64_t join_id, sim::Tick done)
+InvariantChecker::arraySubFinishFailed(std::uint64_t join_id)
 {
-    ++arrayObservations_;
-    (void)done;
-    JoinState *join = joins_.find(join_id);
-    if (join == nullptr || join->outstanding == 0) {
-        std::ostringstream os;
-        os << "array: sub-completion for join " << join_id
-           << " with no outstanding sub-requests";
-        fail(os.str());
-        return;
-    }
-    --join->outstanding;
+    std::ostringstream os;
+    os << "array: sub-completion for join " << join_id
+       << " with no outstanding sub-requests";
+    fail(os.str());
 }
 
 void
-InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
-                            sim::Tick done)
+InvariantChecker::arrayJoinSlow(std::uint64_t join_id,
+                                std::uint32_t token,
+                                JoinSlab::Entry *join, sim::Tick arrival,
+                                sim::Tick done)
 {
-    ++arrayObservations_;
-    JoinState *join = joins_.find(join_id);
-    if (join == nullptr || join->joined) {
+    if (join == nullptr) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed "
-           << (join == nullptr ? "without a split" : "twice");
+           << (joins_.retired(token, join_id) ? "twice"
+                                               : "without a split");
         fail(os.str());
         return;
     }
-    if (join->outstanding != 0) {
+    if (join->value != 0) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed with "
-           << join->outstanding << " sub-requests outstanding";
+           << join->value << " sub-requests outstanding";
         fail(os.str());
     }
     if (done < arrival) {
@@ -326,9 +298,8 @@ InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
            << ", before its arrival " << arrival;
         fail(os.str());
     }
-    join->joined = true;
     ++joinsCompleted_;
-    joins_.erase(join_id);
+    joins_.release(*join);
 }
 
 void
@@ -447,9 +418,9 @@ InvariantChecker::finalize()
 {
     for (std::size_t dev = 0; dev < disks_.size(); ++dev) {
         const DiskState &d = disks_[dev];
-        if (!d.outstanding.empty()) {
+        if (d.inFlight.live() != 0) {
             std::ostringstream os;
-            os << "disk " << dev << ": " << d.outstanding.size()
+            os << "disk " << dev << ": " << d.inFlight.live()
                << " request id(s) never completed";
             fail(os.str());
         }
@@ -460,9 +431,9 @@ InvariantChecker::finalize()
             fail(os.str());
         }
     }
-    if (!joins_.empty()) {
+    if (joins_.live() != 0) {
         std::ostringstream os;
-        os << "array: " << joins_.size() << " join(s) never completed";
+        os << "array: " << joins_.live() << " join(s) never completed";
         fail(os.str());
     }
     if (joinsCreated_ != joinsCompleted_) {
@@ -488,16 +459,6 @@ InvariantChecker::finalize()
            << " spare writes (must be exactly one)";
         fail(os.str());
     }
-}
-
-VerifyScope::VerifyScope(InvariantChecker *checker) : prev_(t_current)
-{
-    t_current = checker;
-}
-
-VerifyScope::~VerifyScope()
-{
-    t_current = prev_;
 }
 
 } // namespace verify

@@ -5,10 +5,12 @@
  *
  * Compile-time guard: building with IDP_VERIFY=0 (cmake
  * -DIDP_VERIFY=OFF) turns activeChecker() into constexpr nullptr, so
- * every hook below folds to nothing — checking is zero-cost, not
- * merely cheap. With the guard on (the default) the cost of a
- * disabled run is one thread-local load and branch per hook, bounded
- * by bench/micro_simcore.
+ * every hook below folds to nothing (the token-returning ones to the
+ * constant kNoToken) — checking is zero-cost, not merely cheap. With
+ * the guard on (the default) every hook and InvariantChecker::current
+ * are inline, so a run without a checker pays one thread-local load
+ * and branch per hook, bounded by bench/micro_simcore; with a checker
+ * installed, the hot hooks' all-clear paths are inline as well.
  *
  * Runtime control is per run: core::runTrace, core::runClosedLoop and
  * serve::runService each hold a RunChecker, which installs an
@@ -98,22 +100,25 @@ onEventFire(std::uint32_t domain, sim::Tick now, sim::Tick when)
 // Disk-level hooks (dev = DiskDrive::telemetryId)
 // ---------------------------------------------------------------
 
-/** A host-visible request entered DiskDrive::submit. */
-inline void
+/** A host-visible request entered DiskDrive::submit. Returns the
+ *  token the drive keeps beside the request for onDiskComplete. */
+inline std::uint32_t
 onDiskSubmit(std::uint32_t dev, std::uint64_t id, sim::Tick arrival,
              sim::Tick now)
 {
     if (InvariantChecker *vc = activeChecker())
-        vc->diskSubmit(dev, id, arrival, now);
+        return vc->diskSubmit(dev, id, arrival, now);
+    return kNoToken;
 }
 
-/** A host-visible request completed (cache hit or media access). */
+/** A host-visible request completed (cache hit or media access);
+ *  @p token is what onDiskSubmit returned for this copy. */
 inline void
-onDiskComplete(std::uint32_t dev, std::uint64_t id, sim::Tick done,
-               sim::Tick min_service)
+onDiskComplete(std::uint32_t dev, std::uint64_t id, std::uint32_t token,
+               sim::Tick done, sim::Tick min_service)
 {
     if (InvariantChecker *vc = activeChecker())
-        vc->diskComplete(dev, id, done, min_service);
+        vc->diskComplete(dev, id, token, done, min_service);
 }
 
 /** Occupancy conservation probe, called at service start/end. */
@@ -180,36 +185,40 @@ onSchedChoice(const char *policy, std::uint32_t got_slot,
 // Array-level hooks (RAID split/join accounting)
 // ---------------------------------------------------------------
 
-/** A logical request fanned out under @p join_id. */
-inline void
+/** A logical request fanned out under @p join_id. Returns the token
+ *  the array keeps with the join for the three hooks below. */
+inline std::uint32_t
 onArraySplit(std::uint64_t join_id, sim::Tick arrival, sim::Tick now)
 {
     if (InvariantChecker *vc = activeChecker())
-        vc->arraySplit(join_id, arrival, now);
+        return vc->arraySplit(join_id, arrival, now);
+    return kNoToken;
 }
 
 /** One sub-request was issued for @p join_id (incl. deferred RMW). */
 inline void
-onArraySub(std::uint64_t join_id)
+onArraySub(std::uint64_t join_id, std::uint32_t token)
 {
     if (InvariantChecker *vc = activeChecker())
-        vc->arraySub(join_id);
+        vc->arraySub(join_id, token);
 }
 
 /** One sub-request of @p join_id finished. */
 inline void
-onArraySubFinish(std::uint64_t join_id, sim::Tick done)
+onArraySubFinish(std::uint64_t join_id, std::uint32_t token,
+                 sim::Tick done)
 {
     if (InvariantChecker *vc = activeChecker())
-        vc->arraySubFinish(join_id, done);
+        vc->arraySubFinish(join_id, token, done);
 }
 
 /** The logical request behind @p join_id completed. */
 inline void
-onArrayJoin(std::uint64_t join_id, sim::Tick arrival, sim::Tick done)
+onArrayJoin(std::uint64_t join_id, std::uint32_t token,
+            sim::Tick arrival, sim::Tick done)
 {
     if (InvariantChecker *vc = activeChecker())
-        vc->arrayJoin(join_id, arrival, done);
+        vc->arrayJoin(join_id, token, arrival, done);
 }
 
 /** A fan-out produced a sub-request outside the member disk's

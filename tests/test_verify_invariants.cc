@@ -9,12 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <unordered_map>
 
 #include "core/closed_loop.hh"
 #include "core/experiment.hh"
-#include "sim/rng.hh"
-#include "verify/id_table.hh"
 #include "verify/verify.hh"
 #include "workload/synthetic.hh"
 
@@ -23,6 +20,7 @@ namespace {
 using namespace idp;
 using verify::FailMode;
 using verify::InvariantChecker;
+using verify::kNoToken;
 using verify::VerifyScope;
 
 // ---------------------------------------------------------------
@@ -51,7 +49,7 @@ TEST(VerifyChecker, CatchesEventFiringBeforeClock)
 TEST(VerifyChecker, CatchesCompletionWithoutSubmit)
 {
     InvariantChecker vc(FailMode::Record);
-    vc.diskComplete(0, 7, 1000, 10);
+    vc.diskComplete(0, 7, kNoToken, 1000, 10);
     ASSERT_EQ(vc.violations().size(), 1u);
     EXPECT_NE(vc.violations()[0].find("more times"),
               std::string::npos);
@@ -60,42 +58,109 @@ TEST(VerifyChecker, CatchesCompletionWithoutSubmit)
 TEST(VerifyChecker, CatchesDoubleCompletion)
 {
     InvariantChecker vc(FailMode::Record);
-    vc.diskSubmit(0, 7, 0, 0);
-    vc.diskComplete(0, 7, 1000, 10);
+    const std::uint32_t t = vc.diskSubmit(0, 7, 0, 0);
+    vc.diskComplete(0, 7, t, 1000, 10);
     EXPECT_TRUE(vc.violations().empty());
-    vc.diskComplete(0, 7, 2000, 10);
+    vc.diskComplete(0, 7, t, 2000, 10);
     ASSERT_EQ(vc.violations().size(), 1u);
 }
 
 TEST(VerifyChecker, CatchesCompletionFasterThanMinimumService)
 {
     InvariantChecker vc(FailMode::Record);
-    vc.diskSubmit(0, 7, 100, 100);
-    vc.diskComplete(0, 7, 150, /*min_service=*/100);
+    const std::uint32_t t = vc.diskSubmit(0, 7, 100, 100);
+    vc.diskComplete(0, 7, t, 150, /*min_service=*/100);
     ASSERT_EQ(vc.violations().size(), 1u);
     EXPECT_NE(vc.violations()[0].find("minimum service"),
               std::string::npos);
 }
 
-TEST(VerifyChecker, ChecksCompletionAgainstEarliestOutstandingSubmit)
+TEST(VerifyChecker, ChecksEachCopyAgainstItsOwnSubmit)
 {
-    // Two copies of id 7 in flight: either may finish first, so the
-    // floor is the earlier submit, not the later one.
+    // Two copies of id 7 in flight, and either may finish first: each
+    // completion is checked against its own copy's submit.
     InvariantChecker vc(FailMode::Record);
-    vc.diskSubmit(0, 7, 100, 100);
-    vc.diskSubmit(0, 7, 200, 200);
-    vc.diskComplete(0, 7, 250, /*min_service=*/100);
-    vc.diskComplete(0, 7, 300, /*min_service=*/100);
+    const std::uint32_t a = vc.diskSubmit(0, 7, 100, 100);
+    const std::uint32_t b = vc.diskSubmit(0, 7, 200, 200);
+    vc.diskComplete(0, 7, b, 300, /*min_service=*/100);
+    vc.diskComplete(0, 7, a, 300, /*min_service=*/100);
     EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
 
-    // Earlier than the earliest outstanding submit + minimum service
-    // is still non-causal.
-    vc.diskSubmit(0, 7, 1000, 1000);
-    vc.diskSubmit(0, 7, 1100, 1100);
-    vc.diskComplete(0, 7, 1150, /*min_service=*/200);
+    // Earlier than its own submit + minimum service is non-causal.
+    const std::uint32_t c = vc.diskSubmit(0, 7, 1000, 1000);
+    const std::uint32_t d = vc.diskSubmit(0, 7, 1100, 1100);
+    vc.diskComplete(0, 7, c, 1150, /*min_service=*/200);
     ASSERT_EQ(vc.violations().size(), 1u);
     EXPECT_NE(vc.violations()[0].find("minimum service"),
               std::string::npos);
+    EXPECT_NE(vc.violations()[0].find("(1200)"), std::string::npos)
+        << vc.violations()[0];
+
+    // The later copy completes after the earlier copy's submit +
+    // minimum service but before its own: a floor at the earliest
+    // outstanding submit would pass it; its own copy's floor does not.
+    vc.diskComplete(0, 7, d, 1250, /*min_service=*/200);
+    ASSERT_EQ(vc.violations().size(), 2u);
+    EXPECT_NE(vc.violations()[1].find("(1300)"), std::string::npos)
+        << vc.violations()[1];
+    vc.finalize();
+    EXPECT_EQ(vc.violations().size(), 2u);
+}
+
+TEST(VerifyChecker, CatchesStaleTokenWhileAnotherCopyIsInFlight)
+{
+    // One copy completing twice while a second copy of the same id is
+    // in flight: a per-id count would accept it, the token does not.
+    InvariantChecker vc(FailMode::Record);
+    const std::uint32_t a = vc.diskSubmit(0, 7, 0, 0);
+    const std::uint32_t b = vc.diskSubmit(0, 7, 0, 0);
+    vc.diskComplete(0, 7, a, 100, 10);
+    EXPECT_TRUE(vc.violations().empty());
+    vc.diskComplete(0, 7, a, 200, 10);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("more times"), std::string::npos);
+    vc.diskComplete(0, 7, b, 300, 10);
+    vc.finalize();
+    EXPECT_EQ(vc.violations().size(), 1u);
+}
+
+TEST(VerifyChecker, CatchesRecycledSlotWithOldGeneration)
+{
+    // The freed slot is reused by a new copy of the same id: the old
+    // token names the right slot and id but a retired generation.
+    InvariantChecker vc(FailMode::Record);
+    const std::uint32_t old_token = vc.diskSubmit(0, 7, 0, 0);
+    vc.diskComplete(0, 7, old_token, 100, 10);
+    const std::uint32_t new_token = vc.diskSubmit(0, 7, 100, 100);
+    EXPECT_NE(new_token, old_token);
+    vc.diskComplete(0, 7, old_token, 200, 10);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("more times"), std::string::npos);
+    // The live copy still completes exactly once.
+    vc.diskComplete(0, 7, new_token, 300, 10);
+    vc.finalize();
+    EXPECT_EQ(vc.violations().size(), 1u);
+}
+
+TEST(VerifyChecker, CatchesAnotherDisksToken)
+{
+    InvariantChecker vc(FailMode::Record);
+    const std::uint32_t t0 = vc.diskSubmit(0, 7, 0, 0);
+    // Disk 1 has nothing in flight: no slot matches.
+    vc.diskComplete(1, 7, t0, 100, 10);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("disk 1: request 7 completed more"),
+              std::string::npos)
+        << vc.violations()[0];
+    // Disk 1's same slot holds another request: the id differs.
+    const std::uint32_t t1 = vc.diskSubmit(1, 8, 100, 100);
+    EXPECT_EQ(t1, t0);
+    vc.diskComplete(1, 7, t0, 200, 10);
+    ASSERT_EQ(vc.violations().size(), 2u);
+    vc.diskComplete(0, 7, t0, 300, 10);
+    vc.diskComplete(1, 8, t1, 300, 10);
+    vc.finalize();
+    EXPECT_EQ(vc.violations().size(), 2u);
 }
 
 TEST(VerifyChecker, CatchesSubmitBeforeArrival)
@@ -109,12 +174,12 @@ TEST(VerifyChecker, CatchesSubmitBeforeArrival)
 TEST(VerifyChecker, AllowsRaidStyleResubmitOfOneId)
 {
     // RAID-5 read-modify-write legitimately sends the same join id to
-    // a disk twice (read old, then write new): multiset accounting.
+    // a disk twice (read old, then write new): one token per copy.
     InvariantChecker vc(FailMode::Record);
-    vc.diskSubmit(0, 7, 0, 0);
-    vc.diskComplete(0, 7, 1000, 10);
-    vc.diskSubmit(0, 7, 1000, 1000);
-    vc.diskComplete(0, 7, 2000, 10);
+    const std::uint32_t rd = vc.diskSubmit(0, 7, 0, 0);
+    vc.diskComplete(0, 7, rd, 1000, 10);
+    const std::uint32_t wr = vc.diskSubmit(0, 7, 1000, 1000);
+    vc.diskComplete(0, 7, wr, 2000, 10);
     vc.finalize();
     EXPECT_TRUE(vc.violations().empty());
 }
@@ -144,24 +209,65 @@ TEST(VerifyChecker, CatchesBudgetOverflows)
 TEST(VerifyChecker, CatchesJoinAccountingBugs)
 {
     InvariantChecker vc(FailMode::Record);
-    vc.arraySplit(1, 0, 0);
-    vc.arraySub(1);
-    vc.arraySubFinish(1, 100);
-    vc.arrayJoin(1, 0, 100);
+    const std::uint32_t t1 = vc.arraySplit(1, 0, 0);
+    vc.arraySub(1, t1);
+    vc.arraySubFinish(1, t1, 100);
+    vc.arrayJoin(1, t1, 0, 100);
     EXPECT_TRUE(vc.violations().empty());
 
-    vc.arrayJoin(1, 0, 100); // join id already retired
+    vc.arrayJoin(1, t1, 0, 100); // join already retired
     ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("join 1 completed twice"),
+              std::string::npos)
+        << vc.violations()[0];
 
-    vc.arraySplit(2, 0, 0);
-    vc.arraySub(2);
-    vc.arrayJoin(2, 0, 50); // one sub still outstanding
+    const std::uint32_t t2 = vc.arraySplit(2, 0, 0);
+    vc.arraySub(2, t2);
+    vc.arrayJoin(2, t2, 0, 50); // one sub still outstanding
     EXPECT_EQ(vc.violations().size(), 2u);
     EXPECT_NE(vc.violations()[1].find("outstanding"),
               std::string::npos);
 
-    vc.arraySubFinish(3, 10); // no such join
+    vc.arraySubFinish(3, kNoToken, 10); // no such join
     EXPECT_EQ(vc.violations().size(), 3u);
+}
+
+TEST(VerifyChecker, CatchesReusedJoinIdAndStaleJoinTokens)
+{
+    InvariantChecker vc(FailMode::Record);
+    const std::uint32_t t5 = vc.arraySplit(5, 0, 0);
+    vc.arraySplit(5, 0, 0); // id 5 is still in flight
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("join id 5 reused"),
+              std::string::npos);
+
+    // A later join recycles join 5's slot once it retires; join 5's
+    // token is stale for it, and so is a token naming another id.
+    vc.arrayJoin(5, t5, 0, 10);
+    vc.arraySub(5, t5); // retired, its slot still free
+    ASSERT_EQ(vc.violations().size(), 2u);
+    EXPECT_NE(vc.violations()[1].find("for already-joined join 5"),
+              std::string::npos)
+        << vc.violations()[1];
+    const std::uint32_t t6 = vc.arraySplit(6, 10, 10);
+    EXPECT_EQ(t6 & 0xffffffu, t5 & 0xffffffu); // same slot, LIFO
+    vc.arraySub(5, t5);
+    ASSERT_EQ(vc.violations().size(), 3u);
+    EXPECT_NE(vc.violations()[2].find("for unknown join 5"),
+              std::string::npos)
+        << vc.violations()[2];
+    vc.arraySub(5, t6);
+    EXPECT_EQ(vc.violations().size(), 4u);
+    vc.arraySub(6, t6);
+    vc.arraySubFinish(6, t6, 20);
+    vc.arrayJoin(6, t6, 10, 20);
+    vc.finalize();
+    EXPECT_EQ(vc.violations().size(), 4u) << vc.violations().back();
+
+    // With nothing in flight, ids may start over (a new run).
+    const std::uint32_t again = vc.arraySplit(1, 30, 30);
+    vc.arrayJoin(1, again, 30, 40);
+    EXPECT_EQ(vc.violations().size(), 4u);
 }
 
 TEST(VerifyChecker, FinalizeCatchesLeakedWork)
@@ -180,7 +286,7 @@ TEST(VerifyChecker, PanicModeDiesOnViolation)
     EXPECT_DEATH(
         {
             InvariantChecker vc(FailMode::Panic);
-            vc.diskComplete(0, 7, 1000, 10);
+            vc.diskComplete(0, 7, kNoToken, 1000, 10);
         },
         "invariant violated");
 }
@@ -374,51 +480,6 @@ TEST(VerifyEndToEnd, RunTraceHonorsCallerInstalledChecker)
         200);
     EXPECT_EQ(run.completions, 200u);
     EXPECT_GT(vc.observations(), 200u);
-}
-
-TEST(VerifyIdTable, MatchesUnorderedMapUnderRandomChurn)
-{
-    // Insert / find / erase churn over clustered ids (join ids are
-    // sequential; request ids repeat across disks) against the
-    // node-based map the checker used to keep.
-    verify::IdTable<std::uint32_t> table;
-    std::unordered_map<std::uint64_t, std::uint32_t> ref;
-    sim::Rng rng(0x1D7A);
-    for (int step = 0; step < 200000; ++step) {
-        const std::uint64_t key = rng.uniformInt(std::uint64_t{4096}) +
-            (rng.chance(0.1) ? (std::uint64_t{1} << 40) : 0);
-        const double op = rng.uniform();
-        if (op < 0.45) {
-            bool inserted = false;
-            std::uint32_t &v = table.findOrInsert(key, inserted);
-            EXPECT_EQ(inserted, ref.count(key) == 0);
-            v += 1;
-            ref[key] += 1;
-        } else if (op < 0.9) {
-            table.erase(key);
-            ref.erase(key);
-        } else {
-            const std::uint32_t *v = table.find(key);
-            const auto it = ref.find(key);
-            ASSERT_EQ(v == nullptr, it == ref.end()) << key;
-            if (v != nullptr) {
-                EXPECT_EQ(*v, it->second);
-            }
-        }
-        ASSERT_EQ(table.size(), ref.size());
-    }
-    for (const auto &[key, value] : ref) {
-        const std::uint32_t *v = table.find(key);
-        ASSERT_NE(v, nullptr) << key;
-        EXPECT_EQ(*v, value);
-    }
-    // Draining leaves the table empty and still usable.
-    for (const auto &[key, value] : ref)
-        table.erase(key);
-    EXPECT_TRUE(table.empty());
-    EXPECT_EQ(table.find(7), nullptr);
-    table[7] = 3;
-    EXPECT_EQ(*table.find(7), 3u);
 }
 
 } // namespace
