@@ -57,9 +57,11 @@ DiskDrive::DiskDrive(sim::Simulator &simul, const DriveSpec &spec,
         spec_.sched.policy != sched::Policy::Fcfs;
     oracle_ = [this](const sched::PendingView &r,
                      const sched::ArmView &a) {
-        return cachedPositioning(r, a);
+        const Pending &p = pendingPool_[r.slot];
+        return positioningTicks(a, p.cylinder, p.sectorAngle,
+                                !p.req.isRead);
     };
-    estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
+    estServiceTicks_ = scaledSeek(geometry_.cylinders() / 3, false) +
         spindle_.periodTicks() / 2;
     desiredRpm_ = spec_.rpm;
     // The geometry builder tapers sectors/track linearly from the
@@ -82,18 +84,15 @@ DiskDrive::readPriceTicks(geom::Lba lba, std::uint32_t sectors) const
                    "readPriceTicks: request beyond disk capacity");
     const geom::Chs chs = geometry_.lbaToChs(lba);
     const double angle = geometry_.sectorAngle(chs);
-    const sim::Tick now = sim_.now();
     sim::Tick best = sim::kTickNever;
     for (std::uint32_t k = 0;
          k < static_cast<std::uint32_t>(arms_.size()); ++k) {
-        if (arms_[k].failed || arms_[k].parked)
+        const Arm &arm = arms_[k];
+        if (arm.failed || arm.parked)
             continue;
-        const std::uint32_t cyl = arms_[k].cylinder;
-        const std::uint32_t dist =
-            cyl > chs.cylinder ? cyl - chs.cylinder : chs.cylinder - cyl;
-        const sim::Tick seek = seekLbTicks(dist);
-        const sim::Tick rot = armRotWaitAngle(now + seek, angle, k);
-        best = std::min(best, seek + rot);
+        best = std::min(best,
+                        positioningTicks({k, arm.cylinder, arm.azimuth},
+                                         chs.cylinder, angle, false));
     }
     sim::simAssert(best != sim::kTickNever,
                    "readPriceTicks: no healthy arm");
@@ -255,16 +254,9 @@ DiskDrive::applyRpm(sim::Tick now, std::uint32_t rpm)
     spindle_.setRpm(now, rpm);
     modes_.rpmChange(now, rpm);
     // Re-derive every period-derived constant cached across the run.
-    estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
+    estServiceTicks_ = scaledSeek(geometry_.cylinders() / 3, false) +
         spindle_.periodTicks() / 2;
     refreshServiceFloors();
-    // Positioning-cost cache: the rotational halves were computed
-    // under the old period (and the seek halves are cheap) — drop
-    // everything rather than reason about which rows survive.
-    for (auto &e : costCache_) {
-        e.seekValid = false;
-        e.rotValid = false;
-    }
 }
 
 sim::Tick
@@ -355,38 +347,16 @@ DiskDrive::completionBoundTicks(sim::Tick round_start)
 }
 
 sim::Tick
-DiskDrive::scaledSeek(std::uint32_t from, std::uint32_t to,
-                      bool is_write) const
+DiskDrive::scaledSeek(std::uint32_t dist, bool is_write) const
 {
-    const std::uint32_t dist = from > to ? from - to : to - from;
     const sim::Tick raw = seekModel_.seekTicks(dist, is_write);
     return static_cast<sim::Tick>(static_cast<double>(raw) *
                                   spec_.seekScale);
 }
 
 sim::Tick
-DiskDrive::seekLbTicks(std::uint32_t dist) const
-{
-    if (dist == 0)
-        return 0;
-    // Read seek at that distance: admissible because a write seek
-    // only adds settle time and the rotational wait is >= 0, and
-    // monotone because the seek curve is.
-    const sim::Tick raw = seekModel_.seekTicks(dist, false);
-    return static_cast<sim::Tick>(static_cast<double>(raw) *
-                                  spec_.seekScale);
-}
-
-sim::Tick
-DiskDrive::scaledRotWait(sim::Tick at, const geom::Chs &chs,
+DiskDrive::scaledRotWait(sim::Tick at, double angle,
                          double azimuth) const
-{
-    return scaledRotWaitAngle(at, geometry_.sectorAngle(chs), azimuth);
-}
-
-sim::Tick
-DiskDrive::scaledRotWaitAngle(sim::Tick at, double angle,
-                              double azimuth) const
 {
     const sim::Tick raw = spindle_.waitFor(at, angle, azimuth);
     return static_cast<sim::Tick>(static_cast<double>(raw) *
@@ -394,28 +364,21 @@ DiskDrive::scaledRotWaitAngle(sim::Tick at, double angle,
 }
 
 sim::Tick
-DiskDrive::armRotWait(sim::Tick at, const geom::Chs &chs,
+DiskDrive::armRotWait(sim::Tick at, double angle,
                       std::uint32_t arm_index) const
-{
-    return armRotWaitAngle(at, geometry_.sectorAngle(chs), arm_index);
-}
-
-sim::Tick
-DiskDrive::armRotWaitAngle(sim::Tick at, double angle,
-                           std::uint32_t arm_index) const
 {
     const std::uint32_t heads = spec_.dash.headsPerArm;
     const double base = arms_[arm_index].azimuth;
     if (heads <= 1)
-        return scaledRotWaitAngle(at, angle, base);
+        return scaledRotWait(at, angle, base);
     // Heads on one arm are staggered so the combined head set of the
     // whole drive covers the circumference evenly.
     const double spacing =
         1.0 / (static_cast<double>(arms_.size()) * heads);
-    sim::Tick best = scaledRotWaitAngle(at, angle, base);
+    sim::Tick best = scaledRotWait(at, angle, base);
     for (std::uint32_t j = 1; j < heads; ++j) {
         const sim::Tick w =
-            scaledRotWaitAngle(at, angle, base + j * spacing);
+            scaledRotWait(at, angle, base + j * spacing);
         if (w < best)
             best = w;
     }
@@ -491,8 +454,6 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
     if (pendingFree_.empty()) {
         slot = static_cast<std::uint32_t>(pendingPool_.size());
         pendingPool_.emplace_back();
-        // One cost-cache row (all arms) per arena slot, row-major.
-        costCache_.resize(pendingPool_.size() * arms_.size());
         fgList_.index.ensureSlots(pendingPool_.size());
         bgList_.index.ensureSlots(pendingPool_.size());
         // The free list can hold every slot (drain phases); match the
@@ -509,7 +470,6 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
     p.sectorAngle = geometry_.sectorAngle(p.chs);
     p.cylinder = p.chs.cylinder;
     p.internal = internal;
-    ++p.gen; // retires any cost-cache rows from the prior occupancy
     p.next = kNilSlot;
     p.prev = kNilSlot;
     p.seq = 0;
@@ -641,40 +601,23 @@ DiskDrive::releaseActive(std::uint64_t id)
 }
 
 sim::Tick
-DiskDrive::cachedPositioning(const sched::PendingView &req,
-                             const sched::ArmView &arm)
+DiskDrive::positioningTicks(const sched::ArmView &arm,
+                            std::uint32_t cylinder, double angle,
+                            bool is_write) const
 {
-    const std::uint32_t slot = req.slot;
-    const Pending &p = pendingPool_[slot];
-    CostEntry &e = costCache_[slot * arms_.size() + arm.index];
-    if (e.gen != p.gen) {
-        e.gen = p.gen;
-        e.seekValid = false;
-        e.rotValid = false;
-    }
-    if (!e.seekValid || e.armCyl != arm.cylinder) {
-        e.seek = scaledSeek(arm.cylinder, p.cylinder, !p.req.isRead);
-        e.armCyl = arm.cylinder;
-        e.seekValid = true;
-        // The rotational start time depends on the seek length.
-        e.rotValid = false;
-    }
-    const sim::Tick now = sim_.now();
-    if (!e.rotValid || e.evalAt != now) {
-        e.rot = armRotWaitAngle(now + e.seek, p.sectorAngle, arm.index);
-        e.evalAt = now;
-        e.rotValid = true;
-    }
-    if (verify::activeChecker() != nullptr) {
-        // The pruning / horizon lower bound must never exceed the
-        // exact positioning price, including mid-RPM-ramp.
-        const std::uint32_t dist = arm.cylinder > p.cylinder
-            ? arm.cylinder - p.cylinder
-            : p.cylinder - arm.cylinder;
-        verify::onPositioningBound(telemetryId_, seekLbTicks(dist),
-                                   e.seek + e.rot);
-    }
-    return e.seek + e.rot;
+    const std::uint32_t dist = arm.cylinder > cylinder
+        ? arm.cylinder - cylinder
+        : cylinder - arm.cylinder;
+    const sim::Tick seek = scaledSeek(dist, is_write);
+    const sim::Tick price =
+        seek + armRotWait(sim_.now() + seek, angle, arm.index);
+    // The pruning / horizon lower bound (the read seek) must never
+    // exceed the exact positioning price, including mid-RPM-ramp.
+    if (verify::activeChecker() != nullptr)
+        verify::onPositioningBound(
+            telemetryId_, is_write ? scaledSeek(dist, false) : seek,
+            price);
+    return price;
 }
 
 void
@@ -902,19 +845,8 @@ DiskDrive::tryDispatch()
             active.req = p.req;
             active.verifyToken = p.verifyToken;
             active.chs = p.chs;
+            active.sectorAngle = p.sectorAngle;
             active.internal = p.internal;
-            // Most policies priced the chosen pair through the
-            // oracle this very tick; reuse those exact values.
-            const CostEntry &e =
-                costCache_[chosen * arms_.size() + choice.arm];
-            if (e.gen == p.gen && e.seekValid &&
-                e.armCyl == arms_[choice.arm].cylinder) {
-                active.predSeek = e.seek;
-                if (e.rotValid && e.evalAt == sim_.now()) {
-                    active.predRot = e.rot;
-                    active.predRotAt = sim_.now() + e.seek;
-                }
-            }
         }
         active.arm = choice.arm;
         listUnlink(source, chosen);
@@ -956,10 +888,10 @@ DiskDrive::startService(Active active)
     Arm &arm = arms_[active.arm];
     arm.busy = true;
 
-    active.seekTicks = active.predSeek != sim::kTickNever
-        ? active.predSeek
-        : scaledSeek(arm.cylinder, active.chs.cylinder,
-                     !active.req.isRead);
+    const std::uint32_t to = active.chs.cylinder;
+    active.seekTicks = scaledSeek(
+        arm.cylinder > to ? arm.cylinder - to : to - arm.cylinder,
+        !active.req.isRead);
 
     modes_.requestStart(now);
     ++stats_.mediaAccesses;
@@ -986,10 +918,9 @@ DiskDrive::startService(Active active)
         // transfer to tryStartTransfer through xferTicks. A media
         // retry only adds time, so the floor stays admissible.
         const sim::Tick rot_at = now + seek_ticks;
-        if (active.predRotAt != rot_at) {
-            active.predRot = armRotWait(rot_at, active.chs, active.arm);
-            active.predRotAt = rot_at;
-        }
+        active.predRot =
+            armRotWait(rot_at, active.sectorAngle, active.arm);
+        active.predRotAt = rot_at;
         active.xferTicks = mediaTransferTicks(active);
         active.doneFloor = rot_at + active.predRot + active.xferTicks;
     } else {
@@ -1060,7 +991,7 @@ DiskDrive::startRotation(std::uint64_t id)
             const double extent = static_cast<double>(total) /
                 static_cast<double>(spt);
             const sim::Tick to_start = scaledRotWait(
-                now, active.chs, arms_[active.arm].azimuth);
+                now, active.sectorAngle, arms_[active.arm].azimuth);
             const sim::Tick period = spindle_.periodTicks();
             const sim::Tick run_ticks = spindle_.sweepTicks(extent);
             if (to_start + run_ticks > period) {
@@ -1078,7 +1009,7 @@ DiskDrive::startRotation(std::uint64_t id)
 
     const sim::Tick wait = active.predRotAt == now
         ? active.predRot
-        : armRotWait(now, active.chs, active.arm);
+        : armRotWait(now, active.sectorAngle, active.arm);
     active.predRotAt = sim::kTickNever;
     active.rotTicks += wait;
     active.doneFloor =
@@ -1150,7 +1081,7 @@ DiskDrive::wakeNextChannelWaiter(bool defer_zero_wait)
     }
     // Its sector has rotated past; re-wait for the platter to come
     // around again.
-    const sim::Tick extra = armRotWait(now, waiter.chs, waiter.arm);
+    const sim::Tick extra = armRotWait(now, waiter.sectorAngle, waiter.arm);
     waiter.rotTicks += extra;
     waiter.phase = Phase::Rotating;
     waiter.doneFloor =
@@ -1322,7 +1253,7 @@ DiskDrive::modeTimesSnapshot() const
 sim::Tick
 DiskDrive::WindowIndex::seekLowerBound(std::uint32_t dist) const
 {
-    return drive_->seekLbTicks(dist);
+    return drive_->scaledSeek(dist, false);
 }
 
 sim::Tick

@@ -279,11 +279,10 @@ class DiskDrive
      * actuation point). The drive drains in-flight requests (new
      * dispatches are gated), serves nothing for spec().rpmShiftMs
      * while the spindle ramps, then resumes at the new speed with all
-     * period-derived pricing re-derived and the positioning-cost
-     * cache invalidated. Requests arriving during the ramp queue and
-     * are priced at the new speed. While spun down the change is
-     * recorded instantly (the spin-up pays the ramp). A repeated
-     * request for the current speed is a no-op.
+     * period-derived pricing re-derived. Requests arriving during the
+     * ramp queue and are priced at the new speed. While spun down the
+     * change is recorded instantly (the spin-up pays the ramp). A
+     * repeated request for the current speed is a no-op.
      */
     void requestRpm(std::uint32_t rpm);
 
@@ -346,8 +345,6 @@ class DiskDrive
         double sectorAngle = 0.0;
         std::uint32_t cylinder = 0;
         bool internal = false; ///< destage traffic, not reported
-        /** Bumped per slot reuse; guards stale cost-cache rows. */
-        std::uint32_t gen = 0;
         std::uint32_t next = kNilSlot;
         std::uint32_t prev = kNilSlot;
         /**
@@ -383,26 +380,6 @@ class DiskDrive
         CylinderBuckets index;
     };
 
-    /**
-     * Cached positioning cost for one (pending slot, arm) pair.
-     * The seek half stays valid while the arm's cylinder is
-     * unchanged; the rotational half is phase-dependent and stays
-     * valid only for the exact evaluation tick it was computed at
-     * (reusing it across ticks would need floating-point identities
-     * the spindle math does not guarantee bit-exactly, and figure
-     * outputs are pinned byte-identical).
-     */
-    struct CostEntry
-    {
-        std::uint32_t gen = 0;
-        std::uint32_t armCyl = 0;
-        sim::Tick evalAt = 0;
-        sim::Tick seek = 0;
-        sim::Tick rot = 0;
-        bool seekValid = false;
-        bool rotValid = false;
-    };
-
     /** A contiguous request folded into another's media access, with
      *  its invariant-checker token. */
     struct Rider
@@ -417,6 +394,7 @@ class DiskDrive
         /** Invariant-checker token of req (see Pending). */
         std::uint32_t verifyToken = 0;
         geom::Chs chs;
+        double sectorAngle = 0.0; ///< of chs, hoisted from Pending
         std::uint32_t arm = 0;
         Phase phase = Phase::Seeking;
         sim::Tick dispatchTime = 0;
@@ -430,15 +408,11 @@ class DiskDrive
         std::uint32_t retries = 0; ///< media-error re-reads so far
         bool internal = false; ///< destage traffic, not reported
         /**
-         * Positioning the oracle priced for this (request, arm) pair
-         * at dispatch. startService/startRotation reuse the values
-         * instead of recomputing when still exact: the seek whenever
-         * predicted (same arm cylinder, same target), the rotational
-         * wait only when startRotation runs at exactly predRotAt
-         * (dispatch tick + predicted seek). kTickNever = no
-         * prediction (e.g. SSTF never calls the oracle).
+         * Rotational wait the exact completion floor priced at
+         * dispatch for the seek's end (predRotAt); startRotation
+         * reuses it when it runs at exactly predRotAt. kTickNever =
+         * not priced ahead.
          */
-        sim::Tick predSeek = sim::kTickNever;
         sim::Tick predRot = sim::kTickNever;
         sim::Tick predRotAt = sim::kTickNever;
         /** Bumped per arena-slot reuse; tags in-flight ids. */
@@ -567,9 +541,6 @@ class DiskDrive
     std::vector<std::uint32_t> activeFree_;
     std::size_t activeCount_ = 0;
 
-    /** Per-(pending slot, arm) positioning costs; see CostEntry. */
-    std::vector<CostEntry> costCache_;
-
     /** Reused per-dispatch scratch (no per-dispatch allocations). */
     std::vector<sched::PendingView> window_;
     std::vector<sched::ArmView> idleArms_;
@@ -671,9 +642,16 @@ class DiskDrive
      */
     void wakeNextChannelWaiter(bool defer_zero_wait);
 
-    /** Memoized positioning oracle; see CostEntry for validity. */
-    sim::Tick cachedPositioning(const sched::PendingView &req,
-                                const sched::ArmView &arm);
+    /**
+     * The positioning oracle: seek + rotational wait for @p arm to
+     * reach (@p cylinder, sector angle @p angle) starting now. The
+     * scheduler prices (request, arm) pairs and readPriceTicks prices
+     * replica reads through it; every price feeds the invariant
+     * checker's scaledSeek(dist, false) lower-bound check.
+     */
+    sim::Tick positioningTicks(const sched::ArmView &arm,
+                               std::uint32_t cylinder, double angle,
+                               bool is_write) const;
     void armIdleTimer();
     void onIdleTimeout();
     void onSpinDownComplete();
@@ -683,37 +661,31 @@ class DiskDrive
     void maybeStartRpmShift();
     void completeRpmShift();
     /** Switch the spindle at @p now and re-derive every period-derived
-     *  constant (service pricing, positioning-cost cache). */
+     *  constant (service pricing and floors). */
     void applyRpm(sim::Tick now, std::uint32_t rpm);
     /** Feed the arm/seek/channel occupancy to the invariant checker
      *  (no-op when none is installed). */
     void verifyOccupancy() const;
 
-    sim::Tick scaledSeek(std::uint32_t from, std::uint32_t to,
-                         bool is_write) const;
     /**
-     * Admissible positioning lower bound at cylinder distance
-     * @p dist: the scaled read seek with zero rotational wait —
-     * exactly the seek half scaledSeek() computes for that distance,
-     * so it never exceeds what cachedPositioning() can return
-     * (writes only add settle time; rotation only adds wait).
+     * Scaled seek time over @p dist cylinders. The read seek
+     * (@p is_write false) is also the pruned scheduler's admissible
+     * positioning lower bound: it never exceeds what
+     * positioningTicks() returns at that distance (writes only add
+     * settle time; rotation only adds wait).
      */
-    sim::Tick seekLbTicks(std::uint32_t dist) const;
-    sim::Tick scaledRotWait(sim::Tick at, const geom::Chs &chs,
+    sim::Tick scaledSeek(std::uint32_t dist, bool is_write) const;
+    /** Scaled rotational wait at @p at for a head at @p azimuth to
+     *  reach sector angle @p angle. */
+    sim::Tick scaledRotWait(sim::Tick at, double angle,
                             double azimuth) const;
-    /** scaledRotWait with the sector angle already resolved. */
-    sim::Tick scaledRotWaitAngle(sim::Tick at, double angle,
-                                 double azimuth) const;
     /**
      * Rotational wait for arm @p arm_index, taking the best of its
      * headsPerArm heads (the DASH H dimension: heads mounted
      * equidistant from the actuation axis at staggered azimuths).
      */
-    sim::Tick armRotWait(sim::Tick at, const geom::Chs &chs,
+    sim::Tick armRotWait(sim::Tick at, double angle,
                          std::uint32_t arm_index) const;
-    /** armRotWait with the sector angle already resolved. */
-    sim::Tick armRotWaitAngle(sim::Tick at, double angle,
-                              std::uint32_t arm_index) const;
     sim::Tick busTicks(std::uint32_t sectors) const;
     /** Transfer phase of @p active: media sweep (or the zero-latency
      *  override) over the surface parallelism, plus controller

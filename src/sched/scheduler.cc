@@ -179,10 +179,9 @@ pickSptf(const std::vector<PendingView> &pending,
  * Sampled pruned-vs-exhaustive cross-check: every 64th indexed
  * selection (and always the first), when a checker is installed,
  * re-derives the choice from the materialized window with the
- * exhaustive reference pick and reports any divergence. The extra
- * oracle calls only warm the drive's cost cache with values a fresh
- * evaluation would produce anyway, so a checked run stays
- * byte-identical to an unchecked one.
+ * exhaustive reference pick and reports any divergence. The oracle
+ * prices every call fresh and keeps no state, so the extra calls
+ * leave a checked run byte-identical to an unchecked one.
  */
 bool
 shouldCrossCheck(std::uint64_t &tick)

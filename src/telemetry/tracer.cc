@@ -1,6 +1,8 @@
 #include "telemetry/tracer.hh"
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -12,16 +14,16 @@ namespace {
 thread_local Tracer *t_current = nullptr;
 
 std::uint64_t
-envUint(const char *name, std::uint64_t fallback)
+envUint(const char *name, std::uint64_t fallback, std::uint64_t max)
 {
     const char *env = std::getenv(name);
     if (!env || !*env)
         return fallback;
     char *end = nullptr;
     const unsigned long long v = std::strtoull(env, &end, 10);
-    if (!end || *end != '\0' || v == 0) {
-        sim::warnOnce(std::string(name) +
-                      ": expected a positive integer, got \"" + env +
+    if (!end || *end != '\0' || v == 0 || v > max) {
+        sim::warnOnce(std::string(name) + ": expected an integer in [1, " +
+                      std::to_string(max) + "], got \"" + env +
                       "\"; using default");
         return fallback;
     }
@@ -36,9 +38,11 @@ TraceOptions::fromEnv()
     TraceOptions opts;
     if (const char *env = std::getenv("IDP_TRACE"))
         opts.enabled = *env && *env != '0';
-    opts.sampleEvery = envUint("IDP_TRACE_SAMPLE", opts.sampleEvery);
-    opts.ringCapacity = static_cast<std::size_t>(
-        envUint("IDP_TRACE_BUF", opts.ringCapacity));
+    opts.sampleEvery =
+        envUint("IDP_TRACE_SAMPLE", opts.sampleEvery,
+                std::numeric_limits<std::uint64_t>::max());
+    opts.ringCapacity = static_cast<std::size_t>(envUint(
+        "IDP_TRACE_BUF", opts.ringCapacity, kMaxRingCapacity));
     return opts;
 }
 

@@ -41,10 +41,15 @@ struct TraceOptions
     /** Span-ring capacity (spans retained for export). */
     std::size_t ringCapacity = 1u << 18;
 
+    /** Largest IDP_TRACE_BUF accepted: 2^24 32-byte spans (512 MiB),
+     *  allocated up front per tracer (one per drive under PDES). */
+    static constexpr std::uint64_t kMaxRingCapacity = 1ull << 24;
+
     /**
      * Environment-driven configuration: IDP_TRACE=1 enables,
      * IDP_TRACE_SAMPLE=<n> samples, IDP_TRACE_BUF=<spans> sizes the
-     * ring. Malformed values warn once and use the defaults.
+     * ring (at most kMaxRingCapacity). Malformed or out-of-range
+     * values warn once and use the defaults.
      */
     static TraceOptions fromEnv();
 };

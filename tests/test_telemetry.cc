@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/csv_export.hh"
@@ -116,6 +118,33 @@ TEST(Tracer, MeanAndTotalMs)
     EXPECT_DOUBLE_EQ(data.totalMs(telemetry::SpanKind::Seek), 6.0);
     EXPECT_DOUBLE_EQ(data.meanMs(telemetry::SpanKind::Seek), 3.0);
     EXPECT_DOUBLE_EQ(data.meanMs(telemetry::SpanKind::Transfer), 0.0);
+}
+
+TEST(Tracer, EnvRingCapacityIsBounded)
+{
+    // Only fromEnv() is called: no ring is sized, so the oversized
+    // values allocate nothing.
+    const char *prior = std::getenv("IDP_TRACE_BUF");
+    const std::string saved = prior ? prior : "";
+    const std::size_t fallback = telemetry::TraceOptions{}.ringCapacity;
+    const std::string ceiling =
+        std::to_string(telemetry::TraceOptions::kMaxRingCapacity);
+    ASSERT_EQ(setenv("IDP_TRACE_BUF", ceiling.c_str(), 1), 0);
+    EXPECT_EQ(telemetry::TraceOptions::fromEnv().ringCapacity,
+              telemetry::TraceOptions::kMaxRingCapacity);
+    const std::string over =
+        std::to_string(telemetry::TraceOptions::kMaxRingCapacity + 1);
+    for (const char *v : {over.c_str(), "1000000000000",
+                          "18446744073709551615"}) {
+        ASSERT_EQ(setenv("IDP_TRACE_BUF", v, 1), 0);
+        EXPECT_EQ(telemetry::TraceOptions::fromEnv().ringCapacity,
+                  fallback)
+            << "IDP_TRACE_BUF=" << v;
+    }
+    if (prior)
+        ASSERT_EQ(setenv("IDP_TRACE_BUF", saved.c_str(), 1), 0);
+    else
+        ASSERT_EQ(unsetenv("IDP_TRACE_BUF"), 0);
 }
 
 TEST(Registry, FindOrCreateAndSnapshotSorted)

@@ -1,12 +1,7 @@
 #!/bin/sh
 # Build, test, and regenerate every table/figure into results/.
-# Usage: tools/run_all.sh [--verify] [--filter REGEX] [IDP_REQUESTS] [IDP_THREADS]
+# Usage: tools/run_all.sh [--filter REGEX] [IDP_REQUESTS] [IDP_THREADS]
 #
-#   --verify         run the benches with the runtime invariant
-#                    checker enabled (IDP_VERIFY=1): any conservation
-#                    or causality violation aborts the bench. See
-#                    docs/verification.md; tools/verify_all.sh runs
-#                    the full audit.
 #   --filter REGEX   run only the bench binaries whose name matches
 #                    REGEX (grep -E syntax), e.g. --filter 'fig4'.
 #
@@ -17,16 +12,15 @@
 # / IDP_LOG are likewise inherited by the benches, so
 # `IDP_TRACE=1 tools/run_all.sh --filter fig4` produces traced runs.
 #
+# Every bench runs under the runtime invariant checker, which is on by
+# default (IDP_VERIFY=0 opts out; see docs/verification.md).
+# tools/verify_all.sh runs the full audit without the perf gates.
+#
 # Every BENCH_*.json report the benches refresh is then checked against
 # the gate table in tools/bench_check.py, the same gates CI applies; the
 # script exits non-zero if any gate fails.
 set -e
 cd "$(dirname "$0")/.."
-
-if [ "$1" = "--verify" ]; then
-    export IDP_VERIFY=1
-    shift
-fi
 
 FILTER=''
 if [ "$1" = "--filter" ]; then
@@ -37,6 +31,12 @@ if [ "$1" = "--filter" ]; then
     FILTER="$2"
     shift 2
 fi
+case "$1" in
+    -*)
+        echo "run_all.sh: unknown option '$1'" >&2
+        exit 2
+        ;;
+esac
 
 # Prefer Ninja when available, fall back to the default generator
 # (the tier-1 verify line uses plain Make; both must work).
@@ -68,7 +68,7 @@ for b in build/bench/*; do
         continue
     fi
     ran=$((ran + 1))
-    echo "== $name (IDP_THREADS=${IDP_THREADS:-auto} IDP_TRACE=${IDP_TRACE:-0} IDP_VERIFY=${IDP_VERIFY:-default}) =="
+    echo "== $name (IDP_THREADS=${IDP_THREADS:-auto} IDP_TRACE=${IDP_TRACE:-0}) =="
     "$b" | tee "results/$name.txt"
 done
 if [ "$ran" -eq 0 ]; then
